@@ -10,11 +10,16 @@
 //	hebench -exp all -dur 500ms -csv
 //	hebench -exp fig4 -grow        # undersized registries: exercise slot-block growth
 //
-// Experiments: fig4, table1, bound, kadvance, minmax, stalled, schemes,
-// api, all. The api experiment is the public-vs-internal overhead A/B over
-// the smr package; -api selects its sides (public|internal|both). The
-// schemes experiment is the roster throughput comparison behind
-// BENCH_schemes.json (hyaline-1r, hyaline and WFE alongside the rest).
+// Experiments: fig4, table1, bound, kadvance, minmax, stalled, oversub,
+// rfactor, schemes, api, all. The api experiment is the public-vs-internal
+// overhead A/B over the smr package; -api selects its sides
+// (public|internal|both). The schemes experiment is the roster throughput
+// comparison behind BENCH_schemes.json (hyaline-1r, hyaline and WFE
+// alongside the rest).
+//
+// Every domain runs a static configuration fixed at construction: the
+// paper's scan-per-retire threshold, plus, with -offload N, N background
+// reclaimers behind the derived (or -offload-watermark) watermark.
 package main
 
 import (
@@ -33,7 +38,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "fig4", "experiment: fig4|table1|bound|kadvance|minmax|stalled|oversub|rfactor|schemes|api|control|all")
+		exp     = flag.String("exp", "fig4", "experiment: fig4|table1|bound|kadvance|minmax|stalled|oversub|rfactor|schemes|api|all")
 		api     = flag.String("api", "both", "sides of the -exp api comparison: public|internal|both")
 		dur     = flag.Duration("dur", 200*time.Millisecond, "measured duration per benchmark cell")
 		threads = flag.String("threads", "1,2,4,8", "comma-separated worker counts")
@@ -51,18 +56,11 @@ func main() {
 		valsize = flag.String("valsize", "0", "per-key []byte payload size: 0 = word values (off), N = fixed N bytes, zipf:N = skewed sizes in [8,N]")
 		trace   = flag.String("trace", "", "sampled per-ref lifecycle tracing: \"all\" = every allocation, N = 1 in 2^N (adds reclamation-age and pinned-ref telemetry to /metrics.json and span lines to -sample)")
 		monitor = flag.Bool("monitor", false, "run the online health monitor: invariant alerts at /alerts.json and smr_alerts_*, alert lines to -sample")
-		ctrl    = flag.Bool("control", false, "attach the adaptive control plane to every domain: a feedback controller retunes the scan threshold, offload watermark and worker count live (smr_control_* metrics, control lines to -sample)")
-		budget  = flag.Int64("budget", 0, "pending-bytes budget the -control controller enforces per domain (0 = derive the Equation-1 budget)")
-		gate    = flag.Bool("gate", false, "with -control: engage retire-path admission backpressure while the budget is breached")
-		phases  = flag.String("phases", "", "phase schedule for -exp control, e.g. churn:3s,read:3s,stall:3s (empty = churn:2s,read:2s,stall:2s)")
 	)
 	flag.Parse()
 
 	if *offload > 0 {
 		bench.SetOffload(reclaim.OffloadConfig{Workers: *offload, WatermarkBytes: *offWm})
-	}
-	if *ctrl {
-		bench.SetControl(reclaim.ControlConfig{Enabled: true, BudgetBytes: *budget, Gate: *gate})
 	}
 
 	sizer, err := bench.ParseValSizer(*valsize)
@@ -107,18 +105,12 @@ func main() {
 			}
 			hub.SetSampler(smp)
 			defer func() { smp.Sample(hub.Domains()) }()
-			if *ctrl {
-				bench.SetControlSink(smp.WriteAction)
-			}
 		}
 		if *monitor {
 			mon := obs.NewMonitor(obs.MonitorConfig{}, hub.Domains)
 			mon.SetOnAlert(func(a obs.Alert) {
 				if smp != nil {
 					smp.WriteAlert(a)
-				}
-				for _, c := range bench.Controllers() {
-					c.OnAlert(a)
 				}
 			})
 			hub.SetMonitor(mon)
@@ -168,8 +160,6 @@ func main() {
 			bench.SchemesCompare(os.Stdout, o)
 		case "api":
 			bench.APICompare(os.Stdout, o, *api)
-		case "control":
-			bench.ControlCompare(os.Stdout, o, *phases)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			flag.Usage()

@@ -3,10 +3,7 @@ package bench
 import (
 	"fmt"
 	"strconv"
-	"sync"
-	"time"
 
-	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/ebr"
 	"repro/internal/hp"
@@ -93,49 +90,6 @@ func SetOffload(oc reclaim.OffloadConfig) { offloadCfg = oc }
 // Offload returns the pipeline configuration installed by SetOffload.
 func Offload() reclaim.OffloadConfig { return offloadCfg }
 
-// controlCfg, when Enabled, attaches an adaptive feedback controller
-// (internal/control) to every subsequently constructed scheme domain: the
-// controller retunes the scan threshold, offload watermark and worker count
-// live, and optionally gates the retire path against a pending-bytes
-// budget.
-var controlCfg reclaim.ControlConfig
-
-// controlSink, when non-nil, receives every controller actuation (drivers
-// install the sampler's WriteAction here before building structures).
-var controlSink func(obs.ControlAction)
-
-// controllers tracks every controller the factories attached, so drivers
-// can route monitor alerts into them and read their status panels.
-var controllers struct {
-	mu   sync.Mutex
-	list []*control.Controller
-}
-
-// SetControl attaches adaptive controllers to all subsequently constructed
-// scheme domains (zero value turns it back off). Same construction-time
-// discipline as SetObsHub / SetOffload.
-func SetControl(cc reclaim.ControlConfig) { controlCfg = cc }
-
-// Control returns the configuration installed by SetControl.
-func Control() reclaim.ControlConfig { return controlCfg }
-
-// SetControlSink routes every subsequently attached controller's actuations
-// to fn (the sampler's WriteAction in the drivers).
-func SetControlSink(fn func(obs.ControlAction)) { controlSink = fn }
-
-// Controllers returns every controller the factories have attached so far.
-// Drivers fan monitor alerts into them:
-//
-//	mon.SetOnAlert(func(a obs.Alert) {
-//		smp.WriteAlert(a)
-//		for _, c := range bench.Controllers() { c.OnAlert(a) }
-//	})
-func Controllers() []*control.Controller {
-	controllers.mu.Lock()
-	defer controllers.mu.Unlock()
-	return append([]*control.Controller(nil), controllers.list...)
-}
-
 // obsCapable is satisfied by every scheme through the promoted
 // reclaim.Base.EnableObs.
 type obsCapable interface{ EnableObs(*obs.Domain) }
@@ -148,37 +102,12 @@ func scheme(name string, mk Factory) Scheme {
 		if c.Offload.Workers == 0 {
 			c.Offload = offloadCfg
 		}
-		if !c.Control.Enabled {
-			c.Control = controlCfg
-		}
 		d := mk(a, c)
 		if hub := obsHub; hub != nil {
 			if oc, ok := d.(obsCapable); ok {
 				od := obs.NewDomain(name, obs.Config{Sessions: c.Defaulted().MaxThreads, Trace: obsTrace})
 				oc.EnableObs(od)
 				hub.Attach(od)
-			}
-		}
-		// Controller attachment comes after obs wiring so Attach can install
-		// the domain's control-status source and budget. The drain hook
-		// Attach parks stops the controller when the domain drains.
-		if c.Control.Enabled {
-			if tn, ok := d.(tunable); ok {
-				ctl, _ := control.New(control.Config{
-					Interval: time.Duration(c.Control.IntervalMillis) * time.Millisecond,
-					Policy: control.Policy{
-						BudgetBytes: c.Control.BudgetBytes,
-						Gate:        c.Control.Gate,
-					},
-				})
-				if controlSink != nil {
-					ctl.SetOnAction(controlSink)
-				}
-				ctl.Attach(tn.Tuner())
-				ctl.Start()
-				controllers.mu.Lock()
-				controllers.list = append(controllers.list, ctl)
-				controllers.mu.Unlock()
 			}
 		}
 		return d

@@ -290,7 +290,7 @@ func WriteMetrics(w io.Writer, snaps []DomainSnapshot) {
 		}
 	}
 	offGauge("smr_offload_workers", "Background reclaimer goroutines engaged in reclamation (parked workers excluded).", "gauge", func(o *OffloadStats) int64 { return o.Workers })
-	offGauge("smr_offload_workers_total", "Live background reclaimer goroutines (the resize target).", "gauge", func(o *OffloadStats) int64 { return o.WorkersTotal })
+	offGauge("smr_offload_workers_total", "Configured background reclaimer goroutines.", "gauge", func(o *OffloadStats) int64 { return o.WorkersTotal })
 	offGauge("smr_offload_queue_refs", "Refs handed off and awaiting background reclamation.", "gauge", func(o *OffloadStats) int64 { return o.QueuedRefs })
 	offGauge("smr_offload_queue_bytes", "Bytes handed off and awaiting background reclamation.", "gauge", func(o *OffloadStats) int64 { return o.QueuedBytes })
 	offGauge("smr_offload_watermark_bytes", "Backpressure watermark for the offload queue.", "gauge", func(o *OffloadStats) int64 { return o.WatermarkBytes })
@@ -331,30 +331,6 @@ func WriteMetrics(w io.Writer, snaps []DomainSnapshot) {
 			fmt.Fprintf(w, "smr_trace_live_spans{scheme=%q} %d\n", s.Scheme, int64(s.TraceLive))
 		}
 	}
-
-	// Adaptive-control-plane series: emitted only for domains with a
-	// controller attached (same conditional pattern as the offload gauges).
-	ctlGauge := func(name, help, kind string, val func(*ControlStatus) int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-		for _, s := range snaps {
-			if s.Control != nil {
-				fmt.Fprintf(w, "%s{scheme=%q} %d\n", name, s.Scheme, val(s.Control))
-			}
-		}
-	}
-	ctlGauge("smr_control_scan_threshold", "Live scan-trigger length chosen by the adaptive controller.", "gauge", func(c *ControlStatus) int64 { return c.ScanThreshold })
-	ctlGauge("smr_control_workers", "Offload worker target chosen by the adaptive controller.", "gauge", func(c *ControlStatus) int64 { return c.Workers })
-	ctlGauge("smr_control_watermark_bytes", "Offload watermark chosen by the adaptive controller.", "gauge", func(c *ControlStatus) int64 { return c.WatermarkBytes })
-	ctlGauge("smr_control_budget_bytes", "Pending-bytes budget the controller enforces.", "gauge", func(c *ControlStatus) int64 { return c.BudgetBytes })
-	ctlGauge("smr_control_headroom_bytes", "Budget minus current pending bytes (negative when breached).", "gauge", func(c *ControlStatus) int64 { return c.HeadroomBytes })
-	ctlGauge("smr_control_gated", "1 while retire-path admission backpressure is engaged.", "gauge", func(c *ControlStatus) int64 {
-		if c.Gated {
-			return 1
-		}
-		return 0
-	})
-	ctlGauge("smr_control_actuations_total", "Knob actuations applied by the adaptive controller.", "counter", func(c *ControlStatus) int64 { return c.Actuations })
-	ctlGauge("smr_control_gate_engagements_total", "Times the controller engaged admission backpressure.", "counter", func(c *ControlStatus) int64 { return c.GateCount })
 
 	// Scheme-deep series (Hyaline handoff depths, WFE helping counters,
 	// per-worker offload queues): names come from the snapshots themselves,

@@ -140,47 +140,16 @@ type ArenaClass struct {
 // than imported for the same reason as Stats — reclaim depends on obs.
 type OffloadStats struct {
 	// Workers counts workers currently engaged in reclamation — parked
-	// workers are headroom, not load, and are excluded so the saturation
-	// math (monitor invariant, controller AIMD) reads true busyness.
+	// workers are headroom, not load, and are excluded so the monitor's
+	// saturation invariant reads true busyness.
 	Workers int64 `json:"workers"`
-	// WorkersTotal is the live worker-goroutine count (the resize target).
+	// WorkersTotal is the configured worker-goroutine count.
 	WorkersTotal   int64 `json:"workers_total"`
 	QueuedRefs     int64 `json:"queued_refs"`
 	QueuedBytes    int64 `json:"queued_bytes"`
 	WatermarkBytes int64 `json:"watermark_bytes"`
 	Handoffs       int64 `json:"handoffs"`
 	Fallbacks      int64 `json:"fallbacks"`
-}
-
-// ControlAction is one knob actuation by the adaptive controller: which
-// knob moved, why, and from/to what. Mirrored here (like Alert and
-// OffloadStats) so the sampler, hub and CLIs can carry actuations without
-// importing the control package.
-type ControlAction struct {
-	TMillis int64  `json:"t_ms"`
-	Scheme  string `json:"scheme"`
-	// Knob is "workers", "watermark", "scan_threshold" or "gate".
-	Knob string `json:"knob"`
-	// Reason is the controller's trigger, e.g. "offload-saturated",
-	// "retire-storm", "budget-pressure", "budget-breach", "idle".
-	Reason string `json:"reason"`
-	From   int64  `json:"from"`
-	To     int64  `json:"to"`
-}
-
-// ControlStatus is the controller's live panel view: current knob values,
-// budget headroom and the most recent actuations. Exposed per domain via
-// SetControlSource and served inside /metrics.json snapshots.
-type ControlStatus struct {
-	ScanThreshold  int64           `json:"scan_threshold"`
-	Workers        int64           `json:"workers"`
-	WatermarkBytes int64           `json:"watermark_bytes"`
-	Gated          bool            `json:"gated"`
-	BudgetBytes    int64           `json:"budget_bytes"`
-	HeadroomBytes  int64           `json:"headroom_bytes"`
-	Actuations     int64           `json:"actuations_total"`
-	GateCount      int64           `json:"gate_engagements_total"`
-	LastActions    []ControlAction `json:"last_actions,omitempty"`
 }
 
 // LabeledValue is one labelled sample of a scheme-deep metric (e.g. the
@@ -230,7 +199,6 @@ type Domain struct {
 	sessions func(yield func(session int, era uint64))
 	offStats func() OffloadStats
 	classes  func() []ArenaClass
-	control  func() *ControlStatus
 	objBytes uint64
 	budget   atomic.Int64
 
@@ -328,17 +296,12 @@ func (d *Domain) Tracer() *Tracer { return d.tracer }
 
 // SetBudget records the domain's Equation-1 pending-bytes budget: the
 // bound on unreclaimed memory the scheme's parameters promise. The health
-// monitor alerts when PendingBytes exceeds it. Atomic so the adaptive
-// controller can install a caller-stated budget while snapshots run.
+// monitor alerts when PendingBytes exceeds it. Atomic so a budget can be
+// installed while snapshots run.
 func (d *Domain) SetBudget(bytes int64) { d.budget.Store(bytes) }
 
 // Budget returns the current pending-bytes budget (0 when unset).
 func (d *Domain) Budget() int64 { return d.budget.Load() }
-
-// SetControlSource installs the adaptive controller's status closure
-// (controller attach time; nil-safe to leave unset). Domains without a
-// controller export no smr_control_* series and no control panel.
-func (d *Domain) SetControlSource(fn func() *ControlStatus) { d.control = fn }
 
 // AddSchemeSource appends a scheme-deep metric closure, folded into every
 // snapshot. Schemes install these from their EnableObs overrides; the
@@ -394,11 +357,6 @@ type DomainSnapshot struct {
 	// BudgetBytes is the Equation-1 pending-bytes budget installed by the
 	// reclaim wiring; 0 when no budget was set.
 	BudgetBytes int64 `json:"budget_bytes,omitempty"`
-
-	// Control is the adaptive controller's panel view (knob values, budget
-	// headroom, recent actuations); present only when a controller is
-	// attached to the domain.
-	Control *ControlStatus `json:"control,omitempty"`
 
 	// Dropped totals observability records lost since attach: ring
 	// overwrites, tracer cap losses and external (sampler) drops. The
@@ -477,9 +435,6 @@ func (d *Domain) Snapshot() DomainSnapshot {
 		})
 	}
 	s.BudgetBytes = d.budget.Load()
-	if d.control != nil {
-		s.Control = d.control()
-	}
 	d.srcMu.Lock()
 	srcs := d.schemeSrcs
 	d.srcMu.Unlock()

@@ -35,13 +35,6 @@ type Config struct {
 	// instead of scanning inline, falling back to inline scan when the
 	// pending-bytes watermark is reached (see offload.go).
 	Offload OffloadConfig
-	// Control, when Enabled, opts the domain into the adaptive control
-	// plane: a feedback controller (internal/control, attached by the smr
-	// package or the bench harness) retunes ScanR, the offload watermark
-	// and the worker count live against the BudgetBytes target. The knob
-	// plumbing lives here (Base.Tuner); the controller itself is built by
-	// the layer that owns the domain's lifecycle.
-	Control ControlConfig
 }
 
 // Defaulted returns cfg with zero fields replaced by sane defaults.
@@ -93,10 +86,6 @@ type Base struct {
 	total     int     // slots across all published blocks
 	freeSlots []*Slot // recycled by Unregister, preferred by Register
 	pool      []*Handle
-	// drainHooks run once at the start of the next DrainAll (AddDrainHook);
-	// the control plane uses them to stop its controller before the offload
-	// pipeline shuts down.
-	drainHooks []func()
 
 	active atomic.Int64
 
@@ -108,19 +97,8 @@ type Base struct {
 
 	// scanThreshold is the retired-list length at which the owning session
 	// must run a scan; 1 reproduces the paper's scan-per-retire Retire.
-	// Atomic because the control plane retunes it live (SetScanR /
-	// SetScanThreshold); ScanDue's load is the one atomic read the retire
-	// hot path already paid when this was a plain field behind a pointer.
-	scanThreshold atomic.Int64
-
-	// gated marks the admission-backpressure state (SetGate): while set,
-	// scanThreshold is forced to 1 (scan per retire) and the offload
-	// pipeline refuses handoffs, so retiring sessions pay reclamation
-	// inline until the control plane releases the gate. gateSaved parks the
-	// pre-gate threshold for restoration; both are written only by the
-	// single control-plane goroutine.
-	gated     atomic.Bool
-	gateSaved atomic.Int64
+	// Written only during construction (NewBase, SetScanThreshold).
+	scanThreshold int
 
 	// Retire/free/scan counters are striped by session id so the hot paths
 	// touch only their own cache line; Sum folds them on demand.
@@ -268,9 +246,9 @@ func (b *Base) EnableObs(d *obs.Domain) {
 	// wants "pending grew past anything the parameters explain", and the
 	// stalled-reader runaway crosses any fixed multiple.
 	obj := b.classBytes[0]
-	budget := 2 * obj * int64(b.Cfg.MaxThreads) * (b.scanThreshold.Load() + 2*int64(b.Cfg.Slots))
+	budget := 2 * obj * int64(b.Cfg.MaxThreads) * int64(b.scanThreshold+2*b.Cfg.Slots)
 	if o := b.off; o != nil {
-		budget += o.watermark.Load()
+		budget += o.watermark
 	}
 	d.SetBudget(budget)
 	if tr := d.Tracer(); tr != nil {
@@ -382,9 +360,9 @@ func NewBase(alloc Allocator, cfg Config, wordsPerSlot int, initWord uint64) (b 
 		// The offloader is heap-allocated and holds no *Base (workers
 		// resolve the domain lazily at the first handoff), so the Base
 		// value the caller embeds shares it safely.
-		off: newOffloader(cfg.Offload, alloc, threshold, cfg.MaxThreads, classBytes),
+		off:           newOffloader(cfg.Offload, alloc, threshold, cfg.MaxThreads, classBytes),
+		scanThreshold: threshold,
 	}
-	b.scanThreshold.Store(int64(threshold))
 	return
 }
 
@@ -555,114 +533,15 @@ func (b *Base) Capacity() int {
 	return b.total
 }
 
-// ScanThreshold returns the current retired-list length that triggers a
-// scan (the gate-forced value of 1 while admission backpressure is
-// engaged).
-func (b *Base) ScanThreshold() int { return int(b.scanThreshold.Load()) }
-
-// SetScanThreshold sets the scan-trigger length directly. Safe while
-// traffic flows: sessions observe the new value on their next retire via
-// ScanDue's single atomic load. Scheme options with absolute semantics
-// (hp.WithScanThreshold) route through this rather than Config.ScanR; the
-// control plane's ScanR widening/tightening does too. While the gate is
-// engaged the value parks in gateSaved and takes effect on release.
+// SetScanThreshold sets the scan-trigger length directly, overriding the
+// ScanR derivation (values below 1 mean 1). Construction time only, before
+// the first Register: scheme options with absolute semantics
+// (hp.WithScanThreshold) call it from the scheme constructor.
 func (b *Base) SetScanThreshold(n int) {
 	if n < 1 {
 		n = 1
 	}
-	if b.gated.Load() {
-		b.gateSaved.Store(int64(n))
-		return
-	}
-	b.scanThreshold.Store(int64(n))
-}
-
-// SetScanR retunes the amortization factor live, rederiving the scan
-// threshold exactly as construction does: R × MaxThreads × Slots, with
-// R <= 0 restoring the paper's scan-per-retire behaviour. Returns the
-// threshold that now applies.
-func (b *Base) SetScanR(r int) int {
-	threshold := 1
-	if r > 0 {
-		threshold = r * b.Cfg.MaxThreads * b.Cfg.Slots
-	}
-	b.SetScanThreshold(threshold)
-	return threshold
-}
-
-// SetGate engages or releases admission backpressure on the retire path.
-// While gated, the scan threshold is forced to 1 — every retire pays an
-// inline reclamation pass — and the offload pipeline refuses handoffs, so
-// the sessions producing garbage are exactly the ones slowed down until
-// pending drops back under budget. Single-writer: only the control plane
-// (or a test standing in for it) may call this.
-func (b *Base) SetGate(on bool) {
-	if on == b.gated.Load() {
-		return
-	}
-	if on {
-		b.gateSaved.Store(b.scanThreshold.Load())
-		b.gated.Store(true)
-		b.scanThreshold.Store(1)
-		if b.off != nil {
-			b.off.gated.Store(true)
-		}
-	} else {
-		b.gated.Store(false)
-		b.scanThreshold.Store(b.gateSaved.Load())
-		if b.off != nil {
-			b.off.gated.Store(false)
-		}
-	}
-}
-
-// Gated reports whether admission backpressure is currently engaged.
-func (b *Base) Gated() bool { return b.gated.Load() }
-
-// SetWatermark retunes the offload backpressure watermark live (no-op for
-// domains without a pipeline). Values below one byte are clamped up.
-func (b *Base) SetWatermark(v int64) {
-	if b.off != nil {
-		b.off.setWatermark(v)
-	}
-}
-
-// Watermark returns the live offload watermark, or 0 with no pipeline.
-func (b *Base) Watermark() int64 {
-	if b.off == nil {
-		return 0
-	}
-	return b.off.watermark.Load()
-}
-
-// ResizeWorkers retunes the live offload worker count (clamped to
-// [1, MaxWorkers]) and returns the applied value; 0 with no pipeline. See
-// offloader.resize for the scale-up/poison-segment protocol.
-func (b *Base) ResizeWorkers(n int) int {
-	if b.off == nil {
-		return 0
-	}
-	return b.off.resize(b, n)
-}
-
-// Workers returns the current offload worker resize target, or 0 with no
-// pipeline.
-func (b *Base) Workers() int {
-	if b.off == nil {
-		return 0
-	}
-	return int(b.off.activeN.Load())
-}
-
-// AddDrainHook registers fn to run once at the start of the next DrainAll,
-// before the offload pipeline shuts down. The control plane parks its
-// stop-the-controller hook here so a live-retuned domain tears down in the
-// right order (controller first, then workers, then the registry walk)
-// without reclaim importing the control package.
-func (b *Base) AddDrainHook(fn func()) {
-	b.mu.Lock()
-	b.drainHooks = append(b.drainHooks, fn)
-	b.mu.Unlock()
+	b.scanThreshold = n
 }
 
 // observePeak folds retired-freed and raises the high-water mark. Same
@@ -714,13 +593,6 @@ func (b *Base) abandon(s *Slot) {
 // the retired list with the slot, and the walk visits every slot whether
 // its session is registered, pooled, or recycled.
 func (b *Base) DrainAll() {
-	b.mu.Lock()
-	hooks := b.drainHooks
-	b.drainHooks = nil
-	b.mu.Unlock()
-	for _, fn := range hooks {
-		fn()
-	}
 	if o := b.off; o != nil {
 		o.shutdown(b)
 	}

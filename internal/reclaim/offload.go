@@ -49,33 +49,14 @@ import (
 // TryOffload refuses a handoff once the queued bytes (summed per ref from
 // the allocator's class footprints, so variable-size payloads weigh their
 // true size) reach the watermark, bumping the fallback counter; the caller
-// then scans inline
-// exactly as in offload-disabled mode. Bounded-memory guarantee: pending
-// bytes never exceed the watermark plus what inline mode itself would hold,
-// so the paper's Equation 1 bound degrades to a configurable factor of
-// itself rather than growing without bound when the reclaimer lags. The
-// default watermark is WatermarkFactor × the Equation 1 scan threshold ×
-// MaxThreads × the arena slot size.
-//
-// # Live resize (control plane)
-//
-// The worker count and the watermark are retunable while traffic flows
-// (offloader.resize / setWatermark, surfaced as Base.Tuner knobs for the
-// control plane). Queues and notify channels are allocated up to MaxWorkers
-// at construction; an atomic live-count (activeN) is all the producer-side
-// affinity selection reads. Scale-up waits for any previous incarnation of
-// the revived index to exit, clears the queue's sealed flag, and spawns a
-// fresh registered reclaimer session. Scale-down lowers activeN first, then
-// pushes a poison segment (n == -1) to each victim queue: the worker
-// finishes the batch containing the poison, seals its queue, runs one final
-// detach+scan, and exits. A producer that raced the downsize and pushed
-// onto a queue after its final detach observes sealed == true after its own
-// push (the seal is stored before the final Swap, so seq-cst ordering
-// guarantees either the worker's Swap collected the push or the producer
-// sees the seal) and rescues the stranded chain onto queue 0 — which is
-// never sealed, because resize clamps the floor at one worker. The MPSC
-// single-consumer argument is untouched: detach-all Swaps from a second
-// party are ABA-safe by the same no-expected-value reasoning as above.
+// then scans inline exactly as in offload-disabled mode. Bounded-memory
+// guarantee: pending bytes never exceed the watermark plus what inline mode
+// itself would hold, so the paper's Equation 1 bound degrades to a
+// configurable factor of itself rather than growing without bound when the
+// reclaimer lags. The
+// default watermark is offWatermarkMultiple × the Equation 1 scan threshold
+// × MaxThreads × the arena slot size. The worker count and the watermark
+// are fixed at construction.
 //
 // # Shutdown
 //
@@ -93,22 +74,18 @@ type OffloadConfig struct {
 	// Workers is the number of background reclaimer goroutines. 0 disables
 	// offloading; negative values are treated as 0.
 	Workers int
-	// MaxWorkers caps live worker resizing (Base.Tuner().ResizeWorkers /
-	// the control plane's AIMD loop): queues are preallocated up to this
-	// ceiling so a resize never reallocates the MPSC array under producers.
-	// 0 derives max(Workers, 8). Values below Workers are raised to it.
-	MaxWorkers int
 	// WatermarkBytes is the backpressure threshold: when the bytes queued
 	// for background reclamation (summed per ref from the allocator's
 	// class-aware footprints) reach it, TryOffload fails and the retiring
-	// session scans inline. 0 derives the default from WatermarkFactor.
+	// session scans inline. 0 derives offWatermarkMultiple × scan threshold ×
+	// MaxThreads × slot bytes.
 	WatermarkBytes int64
-	// WatermarkFactor scales the default watermark: factor × scan threshold
-	// × MaxThreads × slot bytes, i.e. the offload pipeline may hold at most
-	// `factor` times the retired-list memory the inline Equation 1 bound
-	// already tolerates. 0 means 8. Ignored when WatermarkBytes is set.
-	WatermarkFactor int
 }
+
+// offWatermarkMultiple scales the default watermark: the offload pipeline may
+// hold at most this many times the retired-list memory the inline
+// Equation 1 bound already tolerates.
+const offWatermarkMultiple = 8
 
 // Scanner is the scheme-side entry point the background reclaimers dispatch
 // through: one reclamation pass over h's retired list, keeping survivors in
@@ -134,9 +111,7 @@ const offSpinNs = 100_000
 const offIdleNs = 10 * offSpinNs
 
 // offSegment is one queue link. All fields except next are written only
-// before publication (CAS into a queue) and read only after detach. A
-// poison segment (n == -1, pushed by resize's scale-down path) carries no
-// refs and tells the consuming worker to retire after this batch.
+// before publication (CAS into a queue) and read only after detach.
 type offSegment struct {
 	next  atomic.Pointer[offSegment]
 	n     int
@@ -156,13 +131,7 @@ type offStack struct {
 	// before the push and decremented after detach, so like the byte gauge it
 	// only ever over-counts in-flight work.
 	depth atomic.Int64
-	// sealed marks a queue whose worker has run (or is about to run) its
-	// final detach on the way out of a scale-down: stored before that final
-	// Swap, so any producer whose push the Swap missed observes it and
-	// rescues the stranded chain (see tryOffload). Cleared, before the
-	// replacement worker spawns, by a later scale-up.
-	sealed atomic.Bool
-	_      atomicx.CacheLinePad
+	_     atomicx.CacheLinePad
 }
 
 // push publishes seg and reports whether the queue was empty, i.e. whether
@@ -183,24 +152,13 @@ func (q *offStack) detach() *offSegment { return q.head.Swap(nil) }
 
 // offloader is the per-domain background reclamation state, owned by Base.
 type offloader struct {
-	// activeN is the live worker count: the producer-side affinity selector
-	// and the spin-window heuristic read it, resize (under startMu) writes
-	// it. Always in [1, maxWorkers] once the config is resolved.
-	activeN    atomic.Int32
-	maxWorkers int
-	watermark  atomic.Int64
-	slotBytes  int64
-
-	// gated, when set by the control plane (Base.SetGate), refuses every
-	// handoff so budget-breach backpressure lands on the retiring sessions
-	// themselves: combined with the gate's scan-per-retire threshold, the
-	// retire path pays reclamation inline until pending drops.
-	gated atomic.Bool
+	// workers and watermark are fixed at construction (see OffloadConfig).
+	workers   int
+	watermark int64
 
 	// parked counts workers blocked on their notify channel. A parked
-	// worker is headroom, not load: the saturation math (obs.Monitor's
-	// offload-saturation invariant, the control plane's AIMD loop) excludes
-	// it from the busy-worker figure stats() reports.
+	// worker is headroom, not load: obs.Monitor's offload-saturation
+	// invariant excludes it from the busy-worker figure stats() reports.
 	parked atomic.Int32
 
 	// classBytes maps Ref.Class() to block footprint (same table as
@@ -210,10 +168,6 @@ type offloader struct {
 
 	queues []offStack
 	notify []chan struct{} // 1-buffered wakeup semaphores, one per worker
-	// done[i] is closed when worker i's current incarnation exits; scale-up
-	// waits on it before spawning a replacement so one queue never has two
-	// consumers. Written under startMu.
-	done []chan struct{}
 
 	// queuedRefs/queuedBytes count work handed off but not yet reclaimed by
 	// a worker (incremented before push, decremented after the worker's
@@ -232,11 +186,9 @@ type offloader struct {
 	// Lazy start: workers launch on the first successful TryOffload, by
 	// which time the scheme constructor has set Base.Dom (NewBase returns
 	// Base by value, so the offloader cannot capture the domain earlier).
-	// startMu also serializes resize against start/shutdown.
 	startMu sync.Mutex
 	started atomic.Bool
 	stopped atomic.Bool // terminal; set by shutdown or a non-Scanner domain
-	scanner Scanner     // resolved by ensureStarted; resize reuses it
 	stop    chan struct{}
 	wg      sync.WaitGroup
 }
@@ -247,65 +199,41 @@ func newOffloader(cfg OffloadConfig, alloc Allocator, scanThreshold, maxThreads 
 	if cfg.Workers <= 0 {
 		return nil
 	}
-	// slotBytes (the typed class-0 footprint) still anchors the DEFAULT
-	// watermark derivation — Equation 1 is stated in nodes, and the typed
-	// class is what structures retire at threshold cadence — while the
-	// queued-bytes gauge itself is class-aware via classBytes.
-	slotBytes := int64(1)
-	if sb, ok := alloc.(interface{ SlotBytes() uintptr }); ok {
-		if n := int64(sb.SlotBytes()); n > 0 {
-			slotBytes = n
-		}
-	}
+	// The typed class-0 footprint anchors the DEFAULT watermark derivation
+	// — Equation 1 is stated in nodes, and the typed class is what
+	// structures retire at threshold cadence — while the queued-bytes gauge
+	// itself is class-aware via classBytes.
 	watermark := cfg.WatermarkBytes
 	if watermark <= 0 {
-		factor := cfg.WatermarkFactor
-		if factor <= 0 {
-			factor = 8
+		slotBytes := int64(1)
+		if sb, ok := alloc.(interface{ SlotBytes() uintptr }); ok {
+			if n := int64(sb.SlotBytes()); n > 0 {
+				slotBytes = n
+			}
 		}
-		watermark = int64(factor) * int64(scanThreshold) * int64(maxThreads) * slotBytes
-	}
-	maxWorkers := cfg.MaxWorkers
-	if maxWorkers <= 0 {
-		maxWorkers = 8
-	}
-	if maxWorkers < cfg.Workers {
-		maxWorkers = cfg.Workers
+		watermark = offWatermarkMultiple * int64(scanThreshold) * int64(maxThreads) * slotBytes
 	}
 	o := &offloader{
-		maxWorkers: maxWorkers,
-		slotBytes:  slotBytes,
+		workers:    cfg.Workers,
+		watermark:  watermark,
 		classBytes: classBytes,
-		queues:     make([]offStack, maxWorkers),
-		notify:     make([]chan struct{}, maxWorkers),
-		done:       make([]chan struct{}, maxWorkers),
+		queues:     make([]offStack, cfg.Workers),
+		notify:     make([]chan struct{}, cfg.Workers),
 	}
-	o.activeN.Store(int32(cfg.Workers))
-	o.watermark.Store(watermark)
 	for i := range o.notify {
 		o.notify[i] = make(chan struct{}, 1)
 	}
 	return o
 }
 
-// setWatermark retunes the backpressure threshold live. Clamped at one byte
-// so the pipeline can be throttled to nothing but never divides by its own
-// disabled state.
-func (o *offloader) setWatermark(v int64) {
-	if v < 1 {
-		v = 1
-	}
-	o.watermark.Store(v)
-}
-
 // tryOffload hands h's entire retired list to the pipeline. It returns
-// false — caller must scan inline — when the pipeline is stopped or gated,
-// the domain is not a Scanner, or the watermark is reached (backpressure).
+// false — caller must scan inline — when the pipeline is stopped, the
+// domain is not a Scanner, or the watermark is reached (backpressure).
 func (o *offloader) tryOffload(h *Handle) bool {
-	if o.stopped.Load() || o.gated.Load() {
+	if o.stopped.Load() {
 		return false
 	}
-	if o.queuedBytes.Load() >= o.watermark.Load() {
+	if o.queuedBytes.Load() >= o.watermark {
 		o.fallbacks.Add(1)
 		return false
 	}
@@ -329,14 +257,10 @@ func (o *offloader) tryOffload(h *Handle) bool {
 		t0 = obs.Now() // only the offload-latency histogram reads it
 	}
 	// Session affinity: one session's handoffs always land on the same
-	// worker (for a fixed live count), so a burst batches into a single
-	// detach and the selection costs no shared atomic beyond the live-count
-	// load.
-	n := int(o.activeN.Load())
-	if n < 1 {
-		n = 1
-	}
-	i := h.slot.id % n
+	// worker, so a burst batches into a single detach and the selection
+	// costs no shared atomic.
+	i := h.slot.id % o.workers
+	q := &o.queues[i]
 	tr := h.obsTrace
 	for len(refs) > 0 {
 		seg := o.getSegment()
@@ -353,54 +277,14 @@ func (o *offloader) tryOffload(h *Handle) bool {
 		}
 		seg.t0 = t0
 		refs = refs[n:]
-		o.pushTo(i, seg)
+		q.depth.Add(int64(n))
+		if q.push(seg) {
+			o.wake(i)
+		}
 	}
 	o.handoffs.Add(1)
 	h.SetRetired(h.Retired()[:0])
 	return true
-}
-
-// pushTo publishes seg on queue i, waking its worker on the empty→non-empty
-// transition, and rescues the chain if the push raced a scale-down past the
-// dying worker's final detach. The seal is stored before that detach, so if
-// the detach missed this push the sealed load here must observe true —
-// either the worker collected the segment or this rescue does; it cannot be
-// stranded.
-func (o *offloader) pushTo(i int, seg *offSegment) {
-	q := &o.queues[i]
-	q.depth.Add(int64(seg.n))
-	if q.push(seg) {
-		o.wake(i)
-	}
-	if i != 0 && q.sealed.Load() {
-		o.rescue(q)
-	}
-}
-
-// rescue moves everything stranded on a sealed queue to queue 0, whose
-// worker is never poisoned (resize clamps the floor at one). Concurrent
-// rescuers and the dying worker's final detach each Swap disjoint chains,
-// so no segment is moved twice. A poison segment encountered here has
-// already served its purpose (the queue is sealed) and is recycled.
-func (o *offloader) rescue(q *offStack) {
-	seg := q.detach()
-	if seg == nil {
-		return
-	}
-	moved := int64(0)
-	for seg != nil {
-		next := seg.next.Load()
-		if seg.n < 0 {
-			o.putSegment(seg)
-		} else {
-			moved += int64(seg.n)
-			o.queues[0].depth.Add(int64(seg.n))
-			o.queues[0].push(seg)
-		}
-		seg = next
-	}
-	q.depth.Add(-moved)
-	o.wake(0)
 }
 
 // ensureStarted launches the worker goroutines once. Returns false when the
@@ -421,65 +305,13 @@ func (o *offloader) ensureStarted(b *Base) bool {
 		o.stopped.Store(true)
 		return false
 	}
-	o.scanner = sc
 	o.stop = make(chan struct{})
-	for i := 0; i < int(o.activeN.Load()); i++ {
-		o.spawn(b, sc, i)
+	for i := 0; i < o.workers; i++ {
+		o.wg.Add(1)
+		go o.run(b, sc, i)
 	}
 	o.started.Store(true)
 	return true
-}
-
-// spawn starts worker i's next incarnation. Caller holds startMu.
-func (o *offloader) spawn(b *Base, sc Scanner, i int) {
-	o.queues[i].sealed.Store(false)
-	o.done[i] = make(chan struct{})
-	o.wg.Add(1)
-	go o.run(b, sc, i)
-}
-
-// resize retunes the live worker count to n (clamped to [1, MaxWorkers])
-// and returns the applied value. Scale-up waits for any dying incarnation
-// of a revived index, then spawns fresh registered reclaimer sessions;
-// scale-down lowers the producer-visible count first and then poisons each
-// victim queue, so the worker exits only after a final drain. Before the
-// lazy first start it just adjusts the count ensureStarted will spawn.
-func (o *offloader) resize(b *Base, n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if n > o.maxWorkers {
-		n = o.maxWorkers
-	}
-	o.startMu.Lock()
-	defer o.startMu.Unlock()
-	cur := int(o.activeN.Load())
-	if o.stopped.Load() {
-		return cur
-	}
-	if !o.started.Load() {
-		o.activeN.Store(int32(n))
-		return n
-	}
-	switch {
-	case n > cur:
-		for i := cur; i < n; i++ {
-			if o.done[i] != nil {
-				<-o.done[i] // previous incarnation fully gone; queue is ours
-			}
-			o.spawn(b, o.scanner, i)
-		}
-		o.activeN.Store(int32(n))
-	case n < cur:
-		o.activeN.Store(int32(n))
-		for i := n; i < cur; i++ {
-			seg := o.getSegment()
-			seg.n = -1
-			o.queues[i].push(seg)
-			o.wake(i)
-		}
-	}
-	return n
 }
 
 // wake nudges worker i; the 1-buffered channel coalesces bursts and the
@@ -517,11 +349,9 @@ func (o *offloader) putSegment(seg *offSegment) {
 // ordinary scan pass — same snapshot walk, same FreeBatchAt frees, same
 // freeGuard oracle hook as an inline scan. Survivors stay in the worker's
 // list and are retried on the next batch; Unregister's final scan + Abandon
-// handles the tail at shutdown. A poison segment (scale-down) makes the
-// worker seal its queue, run one final detach+scan, and exit.
+// handles the tail at shutdown.
 func (o *offloader) run(b *Base, sc Scanner, i int) {
 	defer o.wg.Done()
-	defer close(o.done[i])
 	schedtest.BeginBystander()
 	defer schedtest.EndBystander()
 	h := b.Register()
@@ -548,18 +378,14 @@ func (o *offloader) run(b *Base, sc Scanner, i int) {
 	lastWork := obs.Now()
 	for {
 		spin := int64(offSpinNs)
-		if gmp <= int(o.activeN.Load()) || obs.Now()-lastWork > offIdleNs {
+		if gmp <= o.workers || obs.Now()-lastWork > offIdleNs {
 			spin = 0
 		}
 		deadline := obs.Now() + spin
 		for {
 			if q.head.Load() != nil {
-				poisoned := o.drainQueue(h, sc, q, lat)
+				o.drainQueue(h, sc, q, lat)
 				lastWork = obs.Now()
-				if poisoned {
-					o.retireWorker(h, sc, q, lat)
-					return
-				}
 				deadline = lastWork + offSpinNs
 				continue
 			}
@@ -576,10 +402,7 @@ func (o *offloader) run(b *Base, sc Scanner, i int) {
 		select {
 		case <-o.notify[i]:
 			o.parked.Add(-1)
-			if o.drainQueue(h, sc, q, lat) {
-				o.retireWorker(h, sc, q, lat)
-				return
-			}
+			o.drainQueue(h, sc, q, lat)
 			lastWork = obs.Now()
 		case <-o.stop:
 			o.parked.Add(-1)
@@ -589,22 +412,12 @@ func (o *offloader) run(b *Base, sc Scanner, i int) {
 	}
 }
 
-// retireWorker is the scale-down exit path: seal the queue so producers
-// that pushed after our final detach rescue their own chains, then run that
-// final detach+scan. Order matters — the seal must be visible before the
-// Swap inside drainQueue, which is exactly the guarantee pushTo relies on.
-func (o *offloader) retireWorker(h *Handle, sc Scanner, q *offStack, lat *obs.LatencyStripe) {
-	q.sealed.Store(true)
-	o.drainQueue(h, sc, q, lat)
-}
-
 // drainQueue detaches everything queued for this worker, merges it into the
 // worker session's retired list, and runs one scan pass over the union.
-// Reports whether a poison segment was among the batch.
-func (o *offloader) drainQueue(h *Handle, sc Scanner, q *offStack, lat *obs.LatencyStripe) (poisoned bool) {
+func (o *offloader) drainQueue(h *Handle, sc Scanner, q *offStack, lat *obs.LatencyStripe) {
 	seg := q.detach()
 	if seg == nil {
-		return false
+		return
 	}
 	total := 0
 	totalBytes := int64(0)
@@ -612,12 +425,6 @@ func (o *offloader) drainQueue(h *Handle, sc Scanner, q *offStack, lat *obs.Late
 	rl := h.Retired()
 	for seg != nil {
 		next := seg.next.Load()
-		if seg.n < 0 {
-			poisoned = true
-			o.putSegment(seg)
-			seg = next
-			continue
-		}
 		rl = append(rl, seg.refs[:seg.n]...)
 		total += seg.n
 		totalBytes += seg.bytes
@@ -629,9 +436,7 @@ func (o *offloader) drainQueue(h *Handle, sc Scanner, q *offStack, lat *obs.Late
 	}
 	h.SetRetired(rl)
 	q.depth.Add(int64(-total))
-	if total > 0 {
-		sc.Scan(h)
-	}
+	sc.Scan(h)
 	o.queuedRefs.Add(int64(-total))
 	o.queuedBytes.Add(-totalBytes)
 	if lat != nil && oldest > 0 {
@@ -640,7 +445,6 @@ func (o *offloader) drainQueue(h *Handle, sc Scanner, q *offStack, lat *obs.Late
 		// batch was handed off before obs was attached.)
 		lat.Record(obs.Now() - oldest)
 	}
-	return poisoned
 }
 
 // shutdown stops the pipeline deterministically: new handoffs fall back
@@ -662,14 +466,12 @@ func (o *offloader) shutdown(b *Base) {
 	for i := range o.queues {
 		for seg := o.queues[i].detach(); seg != nil; {
 			next := seg.next.Load()
-			if seg.n > 0 {
-				for _, ref := range seg.refs[:seg.n] {
-					b.freeAt(0, ref)
-				}
-				o.queuedRefs.Add(int64(-seg.n))
-				o.queuedBytes.Add(-seg.bytes)
-				o.queues[i].depth.Add(int64(-seg.n))
+			for _, ref := range seg.refs[:seg.n] {
+				b.freeAt(0, ref)
 			}
+			o.queuedRefs.Add(int64(-seg.n))
+			o.queuedBytes.Add(-seg.bytes)
+			o.queues[i].depth.Add(int64(-seg.n))
 			o.putSegment(seg)
 			seg = next
 		}
@@ -679,8 +481,8 @@ func (o *offloader) shutdown(b *Base) {
 // stats snapshots the pipeline gauges for the observability layer. Workers
 // is the busy count — live workers minus parked ones — because a parked
 // worker is reclamation headroom, not reclamation load; counting it made
-// the offload-saturation invariant under-report headroom and fed the
-// control plane a biased signal. WorkersTotal is the resize target.
+// the offload-saturation invariant under-report headroom. WorkersTotal is
+// the configured worker count.
 func (o *offloader) stats() obs.OffloadStats {
 	q := o.queuedRefs.Load()
 	if q < 0 {
@@ -690,7 +492,7 @@ func (o *offloader) stats() obs.OffloadStats {
 	if qb < 0 {
 		qb = 0
 	}
-	total := int64(o.activeN.Load())
+	total := int64(o.workers)
 	busy := total - int64(o.parked.Load())
 	if busy < 0 {
 		busy = 0
@@ -703,7 +505,7 @@ func (o *offloader) stats() obs.OffloadStats {
 		WorkersTotal:   total,
 		QueuedRefs:     q,
 		QueuedBytes:    qb,
-		WatermarkBytes: o.watermark.Load(),
+		WatermarkBytes: o.watermark,
 		Handoffs:       o.handoffs.Load(),
 		Fallbacks:      o.fallbacks.Load(),
 	}
@@ -749,7 +551,7 @@ func (o *offloader) schemeMetrics() []obs.SchemeMetric {
 // TryOffload hands the session's retired batch to the domain's background
 // reclamation pipeline. It returns false when the caller must reclaim
 // inline instead: offloading disabled (the common case — one nil check),
-// pipeline stopped or gated, or watermark backpressure. Schemes call it at
+// pipeline stopped, or watermark backpressure. Schemes call it at
 // the scan trigger:
 //
 //	if h.ScanDue() && !h.TryOffload() {

@@ -23,8 +23,8 @@ import (
 // Tests for the background reclamation offload pipeline: safety under
 // deterministic schedules with the freed-while-protected oracle armed,
 // deterministic shutdown (Close leaves Pending == 0, no goroutine leaks),
-// and the Drain folding of pooled-handle residue (with and without the
-// pipeline in the way).
+// conservation under concurrent writers, and the Drain folding of
+// pooled-handle residue (with and without the pipeline in the way).
 
 // offloadSchemes is the roster of offload-capable schemes — every scheme
 // with an on-demand scan pass. RC reclaims inline through refcounts and
@@ -246,6 +246,99 @@ func TestOffloadCloseShutdown(t *testing.T) {
 				t.Fatalf("goroutine leak: %d > baseline %d", n, baseline)
 			}
 		})
+	}
+}
+
+// TestOffloadConservationUnderLoad runs three free-running writer sessions
+// retiring through a two-worker pipeline and pins conservation across
+// concurrent handoffs: after Close no retired object is lost (Pending == 0,
+// Retired == Freed), the checked arena saw no fault and holds no live
+// block, and every reclaimer goroutine is gone (NumGoroutine bracketing).
+// Run under -race this is the multi-producer handoff interleaving test.
+func TestOffloadConservationUnderLoad(t *testing.T) {
+	const (
+		writers = 3
+		cells   = 4
+		retires = 20000 // shared target; each writer stops once it is met
+	)
+	cfg := reclaim.Config{
+		MaxThreads: writers + 1,
+		Slots:      2,
+		ScanR:      1,
+		Offload:    reclaim.OffloadConfig{Workers: 2, WatermarkBytes: 1 << 40},
+	}
+
+	runtime.GC() // settle goroutines from prior tests
+	baseline := runtime.NumGoroutine()
+
+	arena := mem.NewArena[uint64](mem.Checked[uint64](true), mem.WithShards[uint64](writers+4))
+	dom := core.New(arena, cfg)
+
+	var slots [cells]atomic.Uint64
+	var retired atomic.Int64
+	var wg sync.WaitGroup
+
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			h := dom.Register()
+			defer h.Unregister()
+			rng := uint64(w)*0x9E3779B97F4A7C15 + 1
+			for retired.Load() < retires {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				ci := int(rng % cells)
+				ref, p := arena.AllocAt(h.ID())
+				*p = rng
+				dom.OnAlloc(ref)
+				old := mem.Ref(slots[ci].Swap(uint64(ref)))
+				if !old.IsNil() {
+					h.Retire(old)
+					retired.Add(1)
+				}
+			}
+		}(w)
+	}
+
+	wg.Wait()
+
+	// Fold the cells' final occupants so the ledger closes.
+	fin := dom.Register()
+	for ci := range slots {
+		if old := mem.Ref(slots[ci].Swap(0)); !old.IsNil() {
+			fin.Retire(old)
+			retired.Add(1)
+		}
+	}
+	fin.Unregister()
+	if off := dom.OffloadStats(); off.Handoffs == 0 {
+		t.Fatalf("pipeline never ran: %+v", off)
+	}
+	dom.Close()
+
+	s := dom.Stats()
+	if s.Pending != 0 {
+		t.Fatalf("pending after close: %+v", s)
+	}
+	if want := retired.Load(); s.Retired != want || s.Freed != want {
+		t.Fatalf("retired/freed = %d/%d, want %d/%d (objects lost across handoffs)",
+			s.Retired, s.Freed, want, want)
+	}
+	if got := arena.Stats().Faults; got != 0 {
+		t.Fatalf("arena faults: %d", got)
+	}
+	if live := arena.Stats().Live; live != 0 {
+		t.Fatalf("arena live after close: %d", live)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("goroutine leak: %d > baseline %d", n, baseline)
 	}
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full validation suite for the hazard-eras reproduction.
-# Usage: scripts/check.sh [quick|full|api|schemes|health|control]
+# Usage: scripts/check.sh [quick|full|api|schemes|health]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -106,75 +106,6 @@ if [ "$mode" = "health" ]; then
   exit 0
 fi
 
-if [ "$mode" = "control" ]; then
-  # Adaptive-control-plane gate (CI job check-control): the deterministic
-  # controller decision tests, live-retune safety under -race, the public
-  # Domain.Controller surface, a live phase-shifting stress proving the
-  # smr_control_* series export with at least one actuation during the
-  # stall, and the static-vs-adaptive A/B smoke.
-  echo "== controller decision procedure (deterministic step, policy swap, race) =="
-  go test -race -count=2 ./internal/control/
-  echo "== live knobs under load: resize/poison-segment, gate, watermark (race) =="
-  go test -race -run 'TestWorkerResizeUnderLoad' ./internal/reclaim/
-  echo "== public Domain.Controller surface (race) =="
-  go test -race -run 'TestDomainController' ./smr/
-  echo "== live phase-shifting stress: smr_control_* series + stall actuation =="
-  ctmp=$(mktemp -d)
-  trap 'rm -rf "$ctmp"' EXIT
-  go build -o "$ctmp/hestress" ./cmd/hestress
-  # EBR balloons under a parked reader, so a tight budget guarantees a
-  # breach — and with -gate, a gate actuation — inside the stall phase.
-  "$ctmp/hestress" -struct list -scheme EBR -threads 2 -dur 4s \
-    -offload 1 -control -gate -budget 65536 -monitor \
-    -phases churn:600ms,read:400ms,stall:1s \
-    -metrics 127.0.0.1:0 -sample "$ctmp/control.jsonl" \
-    > "$ctmp/hestress.out" 2>&1 &
-  cpid=$!
-  caddr=""
-  for _ in $(seq 1 150); do
-    caddr=$(sed -n 's|^metrics: http://\([^/]*\)/metrics$|\1|p' "$ctmp/hestress.out")
-    [ -n "$caddr" ] && break
-    sleep 0.2
-  done
-  [ -n "$caddr" ] || { echo "hestress never announced its metrics address"; cat "$ctmp/hestress.out"; exit 1; }
-  # Wait for the stall phase to trigger the gate; hestress exits when its
-  # -dur elapses, so keep the last successful scrape rather than racing a
-  # final fetch against process exit.
-  acted=""
-  cscrape=""
-  for _ in $(seq 1 100); do
-    s=$(curl -sf "http://$caddr/metrics" 2>/dev/null) || break
-    cscrape="$s"
-    if echo "$cscrape" | grep 'smr_control_actuations_total{scheme="EBR"}' | grep -qv ' 0$'; then
-      acted=1; break
-    fi
-    sleep 0.2
-  done
-  for series in \
-    'smr_control_scan_threshold{scheme="EBR"}' \
-    'smr_control_workers{scheme="EBR"}' \
-    'smr_control_watermark_bytes{scheme="EBR"}' \
-    'smr_control_budget_bytes{scheme="EBR"}' \
-    'smr_control_headroom_bytes{scheme="EBR"}' \
-    'smr_control_gated{scheme="EBR"}' \
-    'smr_control_actuations_total{scheme="EBR"}' \
-    'smr_control_gate_engagements_total{scheme="EBR"}'; do
-    echo "$cscrape" | grep -qF "$series" || { echo "missing series: $series"; exit 1; }
-  done
-  [ -n "$acted" ] || { echo "controller never actuated during the phase schedule"; echo "$cscrape" | grep smr_control_ || true; exit 1; }
-  echo "$cscrape" | grep 'smr_control_gate_engagements_total{scheme="EBR"}' | grep -qv ' 0$' \
-    || { echo "gate never engaged during the stall breach"; exit 1; }
-  wait "$cpid" || { echo "hestress run failed"; cat "$ctmp/hestress.out"; exit 1; }
-  grep -q '"control"' "$ctmp/control.jsonl" || { echo "no actuation lines in sampler JSONL"; exit 1; }
-  go run ./cmd/heanalyze "$ctmp/control.jsonl" | grep -q 'controller actuations:' \
-    || { echo "heanalyze produced no actuation report"; exit 1; }
-  echo "== static-vs-adaptive A/B smoke (hebench -exp control) =="
-  go run ./cmd/hebench -exp control -threads 2 -phases churn:400ms,read:300ms,stall:400ms > "$ctmp/ab.out"
-  grep -q 'adaptive' "$ctmp/ab.out" || { echo "A/B table missing the adaptive row"; cat "$ctmp/ab.out"; exit 1; }
-  echo "ALL CHECKS PASSED (control)"
-  exit 0
-fi
-
 echo "== build =="
 go build ./...
 echo "== vet =="
@@ -184,6 +115,8 @@ stray=$(find internal -name '*.jsonl' 2>/dev/null || true)
 [ -z "$stray" ] || { echo "stray .jsonl artifacts under internal/:"; echo "$stray"; exit 1; }
 echo "== tests =="
 go test ./...
+echo "== benchmark module tests (cmd/heperf is a nested module go test ./... skips) =="
+(cd cmd/heperf && GOFLAGS= GOWORK=off go test ./...)
 echo "== race (reclamation core) =="
 go test -race ./internal/core/... ./internal/reclaim/... ./internal/mem/...
 echo "== race (registry growth + session churn, every scheme) =="
