@@ -25,10 +25,13 @@ import (
 	"repro/internal/queue"
 	"repro/internal/reclaim"
 	"repro/internal/wfqueue"
+	"repro/smr"
 )
 
 // fig4Schemes mirrors the paper's Figure 4 roster.
-func fig4Schemes() []bench.Scheme { return bench.Figure4Schemes() }
+func fig4Schemes() []bench.Scheme {
+	return []bench.Scheme{bench.Of(smr.HP), bench.Of(smr.HE), bench.Of(smr.URCU)}
+}
 
 // benchListWorkload runs the paper's §4 procedure under testing.B.
 func benchListWorkload(b *testing.B, s bench.Scheme, size uint64, updatePct int) {
@@ -147,7 +150,7 @@ func BenchmarkTable1_RetireCost(b *testing.B) {
 // reader pinned mid-operation — the Equation-1 regime. The peak-pending
 // metric shows HE/HP bounded versus EBR growing with b.N.
 func BenchmarkEq1_BoundedChurn(b *testing.B) {
-	for _, s := range []bench.Scheme{bench.HE(), bench.HP(), bench.EBR()} {
+	for _, s := range []bench.Scheme{bench.Of(smr.HE), bench.Of(smr.HP), bench.Of(smr.EBR)} {
 		b.Run(s.Name, func(b *testing.B) {
 			l := list.New(list.DomainFactory(s.Make), list.WithMaxThreads(8))
 			bench.Prefill(l, 100)
@@ -188,7 +191,7 @@ func BenchmarkAblation_KAdvance(b *testing.B) {
 // traversals (one protection slot per tree level, 66 slots total).
 func BenchmarkAblation_MinMaxBST(b *testing.B) {
 	const size = 10000
-	for _, s := range []bench.Scheme{bench.HP(), bench.HE(), bench.HEMinMax()} {
+	for _, s := range []bench.Scheme{bench.Of(smr.HP), bench.Of(smr.HE), bench.Of(smr.HEMinMax)} {
 		b.Run(s.Name, func(b *testing.B) {
 			tr := bst.New(bst.DomainFactory(s.Make), bst.WithMaxThreads(64))
 			bench.Prefill(tr, size)
@@ -220,7 +223,7 @@ func BenchmarkAblation_MinMaxBST(b *testing.B) {
 // inside a wait-free algorithm keeps its wait-free progress). The gap is
 // the cost of the universal progress guarantee, not of the reclamation.
 func BenchmarkExtension_WaitFreeQueue(b *testing.B) {
-	for _, s := range []bench.Scheme{bench.HE(), bench.HP()} {
+	for _, s := range []bench.Scheme{bench.Of(smr.HE), bench.Of(smr.HP)} {
 		b.Run("MS-lockfree/"+s.Name, func(b *testing.B) {
 			q := queue.New(queue.DomainFactory(s.Make), queue.WithMaxThreads(64))
 			b.RunParallel(func(pb *testing.PB) {

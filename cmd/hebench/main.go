@@ -32,8 +32,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/obs"
-	"repro/internal/reclaim"
 )
 
 func main() {
@@ -46,76 +44,23 @@ func main() {
 		updates = flag.String("updates", "0,10,100", "comma-separated update percentages (fig4)")
 		seed    = flag.Uint64("seed", 42, "PRNG seed")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		grow    = flag.Bool("grow", false, "undersize every registry (initial capacity 2) so workers register through dynamically grown slot blocks")
-		metrics = flag.String("metrics", "", "serve live metrics on this address (/metrics Prometheus text, /metrics.json, /events.json flight recorder, /debug/vars, /debug/pprof); e.g. :9090 or 127.0.0.1:0")
-		sample  = flag.String("sample", "", "append per-domain observability snapshots to this file as JSON lines")
-		every   = flag.Duration("sample-every", 100*time.Millisecond, "sampling interval for -sample")
 		hold    = flag.Duration("hold", 0, "keep the -metrics endpoint alive this long after the experiments finish (so scrapers catch the final state)")
-		offload = flag.Int("offload", 0, "background reclaimer goroutines per domain (0 = inline reclamation)")
 		offWm   = flag.Int64("offload-watermark", 0, "offload backpressure watermark in pending bytes (0 = 8x the inline scan-threshold footprint)")
-		valsize = flag.String("valsize", "0", "per-key []byte payload size: 0 = word values (off), N = fixed N bytes, zipf:N = skewed sizes in [8,N]")
-		trace   = flag.String("trace", "", "sampled per-ref lifecycle tracing: \"all\" = every allocation, N = 1 in 2^N (adds reclamation-age and pinned-ref telemetry to /metrics.json and span lines to -sample)")
-		monitor = flag.Bool("monitor", false, "run the online health monitor: invariant alerts at /alerts.json and smr_alerts_*, alert lines to -sample")
 	)
+	envFlags := bench.RegisterEnvFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *offload > 0 {
-		bench.SetOffload(reclaim.OffloadConfig{Workers: *offload, WatermarkBytes: *offWm})
-	}
-
-	sizer, err := bench.ParseValSizer(*valsize)
+	env, closeEnv, err := envFlags.Env()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	bench.SetValSizer(sizer)
-
-	if *trace != "" {
-		tc, err := bench.ParseTrace(*trace)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		bench.SetObsTrace(tc)
+	if env.Offload.Workers > 0 {
+		env.Offload.WatermarkBytes = *offWm
 	}
-
-	if *metrics != "" || *sample != "" || *trace != "" || *monitor {
-		hub := obs.NewHub()
-		bench.SetObsHub(hub)
-		// Close stops the monitor, flushes and stops the sampler, and joins
-		// the metrics server — in that order, so shutdown alerts still reach
-		// the sample file. Runs after the final sample and the -hold window.
-		defer hub.Close()
-		if *metrics != "" {
-			addr, _, err := hub.Serve(*metrics)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("metrics: http://%s/metrics\n", addr)
-			defer time.Sleep(*hold)
-		}
-		var smp *obs.Sampler
-		if *sample != "" {
-			var err error
-			smp, err = obs.StartFileSampler(*sample, *every, hub.Domains)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sample: %v\n", err)
-				os.Exit(1)
-			}
-			hub.SetSampler(smp)
-			defer func() { smp.Sample(hub.Domains()) }()
-		}
-		if *monitor {
-			mon := obs.NewMonitor(obs.MonitorConfig{}, hub.Domains)
-			mon.SetOnAlert(func(a obs.Alert) {
-				if smp != nil {
-					smp.WriteAlert(a)
-				}
-			})
-			hub.SetMonitor(mon)
-			mon.Start()
-		}
+	defer closeEnv()
+	if envFlags.Metrics != "" {
+		defer time.Sleep(*hold)
 	}
 
 	o := bench.Options{
@@ -125,13 +70,14 @@ func main() {
 		Sizes:   parseUints(*sizes),
 		Seed:    *seed,
 		CSV:     *csv,
-		Grow:    *grow,
+		Grow:    envFlags.Grow,
+		Env:     env,
 	}
 
 	fmt.Printf("hazard-eras benchmark harness — GOMAXPROCS=%d, NumCPU=%d\n",
 		runtime.GOMAXPROCS(0), runtime.NumCPU())
-	if sizer != nil {
-		fmt.Printf("byte-value mode: every key carries a -valsize=%s payload through the size-class arena\n", *valsize)
+	if env.ValSizer != nil {
+		fmt.Printf("byte-value mode: every key carries a -valsize=%s payload through the size-class arena\n", envFlags.ValSize)
 	}
 	if runtime.NumCPU() < 4 {
 		fmt.Println("note: few cores available; thread counts above NumCPU measure the")

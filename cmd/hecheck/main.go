@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,7 +50,7 @@ import (
 var (
 	flagSuite     = flag.String("suite", "all", "suite to run: domain, struct, all")
 	flagStruct    = flag.String("struct", "", "comma-separated structure filter (list,map,queue,stack)")
-	flagScheme    = flag.String("scheme", "", "comma-separated scheme filter (HP,HE,HE-minmax,IBR,EBR,URCU,hyaline-1r,WFE,RC,NONE)")
+	flagScheme    = flag.String("scheme", "", "comma-separated scheme filter ("+strings.Join(smr.SchemeNames(), ",")+")")
 	flagSeeds     = flag.Uint64("seeds", 8, "number of schedule seeds to explore (1..N)")
 	flagSeed      = flag.Uint64("seed", 0, "replay exactly this schedule seed (overrides -seeds)")
 	flagWorkers   = flag.Int("workers", 3, "workers per schedule (struct suite: all mixed; domain suite: readers + writer(s))")
@@ -59,11 +60,6 @@ var (
 	flagMutate    = flag.String("mutate", "", "arm a kill-check defect: skip-publish, invert-lifespan (HE), hyaline-early-dec, wfe-skip-validate (domain suite only)")
 	flagVerbose   = flag.Bool("v", false, "print every combination, not only failures")
 )
-
-// rcUnsafeStructs mirrors cmd/hestress's exclusion set for the structures
-// this driver checks: Valois slot-level counts cannot span the Harris
-// list's frozen marked cells (and everything built on them).
-var rcUnsafeStructs = map[string]bool{"list": true, "map": true}
 
 func main() {
 	flag.Parse()
@@ -79,33 +75,41 @@ func main() {
 		fatalf("%v", err)
 	}
 	seeds := seedList()
-	schemes := filterSchemes()
-	structs := filterStructs()
+	schemes := smr.Schemes()
+	if *flagScheme != "" {
+		if schemes, err = bench.ParseSchemes(*flagScheme); err != nil {
+			fatalf("%v", err)
+		}
+	}
+	structs, err := parseStructs(*flagStruct)
+	if err != nil {
+		fatalf("%v", err)
+	}
 
 	var failures []string
 	runs := 0
 	if *flagSuite == "domain" || *flagSuite == "all" {
 		for _, sch := range schemes {
-			if mutation != nil && !mutation.schemes[sch.Name] {
+			if mutation != nil && !mutation.schemes[sch] {
 				continue // the defect lives in a different scheme
 			}
 			for _, seed := range seeds {
 				runs++
 				vs := runDomainSeed(sch, mutation, seed)
-				report("domain", sch.Name, seed, vs, &failures)
+				report("domain", sch.String(), seed, vs, &failures)
 			}
 		}
 	}
 	if (*flagSuite == "struct" || *flagSuite == "all") && mutation == nil {
 		for _, sch := range schemes {
 			for _, st := range structs {
-				if sch.Name == "RC" && rcUnsafeStructs[st] {
+				if sch == smr.RC && bench.RCUnsafe(st) {
 					continue
 				}
 				for _, seed := range seeds {
 					runs++
 					vs := runStructSeed(sch, st, seed)
-					report(st, sch.Name, seed, vs, &failures)
+					report(st, sch.String(), seed, vs, &failures)
 				}
 			}
 		}
@@ -138,7 +142,7 @@ func fatalf(format string, args ...any) {
 // the domain workload needs for the defect to be reachable at all.
 type mutationSpec struct {
 	name    string
-	schemes map[string]bool
+	schemes map[smr.Scheme]bool
 	arm     func(dom reclaim.Domain)
 	// writers is the number of writer workers the domain workload runs for
 	// this defect (default 1). WFE's helping defect needs two: the helper
@@ -164,7 +168,7 @@ type mutationSpec struct {
 }
 
 func parseMutation(s string) (*mutationSpec, error) {
-	heSchemes := map[string]bool{"HE": true, "HE-minmax": true}
+	heSchemes := map[smr.Scheme]bool{smr.HE: true, smr.HEMinMax: true}
 	switch s {
 	case "":
 		return nil, nil
@@ -177,7 +181,7 @@ func parseMutation(s string) (*mutationSpec, error) {
 			d.(*core.Eras).EnableMutation(core.MutInvertLifespan)
 		}}, nil
 	case "hyaline-early-dec":
-		return &mutationSpec{name: s, schemes: map[string]bool{"hyaline-1r": true}, arm: func(d reclaim.Domain) {
+		return &mutationSpec{name: s, schemes: map[smr.Scheme]bool{smr.Hyaline: true}, arm: func(d reclaim.Domain) {
 			d.(*hyaline.Domain).EnableMutation(hyaline.MutEarlyDecRef)
 		}}, nil
 	case "wfe-skip-validate":
@@ -187,7 +191,7 @@ func parseMutation(s string) (*mutationSpec, error) {
 		// other moves the clock, a longer op stream, and MaxTries 0 so every
 		// reader Protect announces (each one is a chance at the chain).
 		return &mutationSpec{
-			name: s, schemes: map[string]bool{"WFE": true},
+			name: s, schemes: map[smr.Scheme]bool{smr.WFE: true},
 			writers: 2, minWorkers: 4, minOps: 30, cells: 2, spinHold: 8,
 			arm: func(d reclaim.Domain) {
 				w := d.(*wfe.Domain)
@@ -209,46 +213,24 @@ func seedList() []uint64 {
 	return seeds
 }
 
-func filterSchemes() []bench.Scheme {
-	all := bench.AllSchemes()
-	if *flagScheme == "" {
-		return all
-	}
-	want := map[string]bool{}
-	for _, n := range strings.Split(*flagScheme, ",") {
-		want[strings.TrimSpace(n)] = true
-	}
-	var out []bench.Scheme
-	for _, s := range all {
-		if want[s.Name] {
-			out = append(out, s)
-		}
-	}
-	if len(out) == 0 {
-		fatalf("no scheme matches %q", *flagScheme)
-	}
-	return out
-}
+// hecheckStructs are the structures the struct suite checks.
+var hecheckStructs = []string{"list", "map", "queue", "stack"}
 
-func filterStructs() []string {
-	all := []string{"list", "map", "queue", "stack"}
-	if *flagStruct == "" {
-		return all
-	}
-	want := map[string]bool{}
-	for _, n := range strings.Split(*flagStruct, ",") {
-		want[strings.TrimSpace(n)] = true
+// parseStructs resolves the -struct filter ("" = every structure); every
+// entry must name one of hecheckStructs.
+func parseStructs(spec string) ([]string, error) {
+	if spec == "" {
+		return hecheckStructs, nil
 	}
 	var out []string
-	for _, s := range all {
-		if want[s] {
-			out = append(out, s)
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.Contains(hecheckStructs, name) {
+			return nil, fmt.Errorf("unknown structure %q (want one of %s)", name, strings.Join(hecheckStructs, ", "))
 		}
+		out = append(out, name)
 	}
-	if len(out) == 0 {
-		fatalf("no structure matches %q", *flagStruct)
-	}
-	return out
+	return out, nil
 }
 
 func report(suite, scheme string, seed uint64, violations []string, failures *[]string) {
@@ -314,7 +296,7 @@ func (f *faultLog) take() []string {
 // swaps fresh objects into cells and retires the old ones; retirement,
 // scanning and freeing all pass through gated reclamation paths, and every
 // reclamation-path free is cross-checked against the oracle's shadow table.
-func runDomainSeed(sch bench.Scheme, mutation *mutationSpec, seed uint64) []string {
+func runDomainSeed(sch smr.Scheme, mutation *mutationSpec, seed uint64) []string {
 	numCells := 3
 	workers := *flagWorkers
 	ops := *flagOps
@@ -343,7 +325,7 @@ func runDomainSeed(sch bench.Scheme, mutation *mutationSpec, seed uint64) []stri
 		mem.WithShards[uint64](workers+1),
 		mem.WithFaultHandler[uint64](faults.record),
 	)
-	dom := sch.Make(arena, reclaim.Config{MaxThreads: workers + 1, Slots: 2})
+	dom := sch.Factory()(arena, reclaim.Config{MaxThreads: workers + 1, Slots: 2})
 	// Schemes with an announce threshold (WFE) drop it to the minimum so
 	// every seeded schedule reaches the slow path and the helping protocol,
 	// not just the HE-shaped fast path. Armed before the mutation so a
@@ -477,7 +459,7 @@ type structOps struct {
 	drain func()
 }
 
-func makeStruct(name string, sch bench.Scheme) structOps {
+func makeStruct(name string, sch smr.Scheme) structOps {
 	threads := *flagWorkers + 1
 	switch name {
 	case "list", "map":
@@ -489,11 +471,11 @@ func makeStruct(name string, sch bench.Scheme) structOps {
 			drain    func()
 		)
 		if name == "list" {
-			l := list.New(list.DomainFactory(sch.Make), list.WithChecked(true), list.WithMaxThreads(threads))
+			l := list.New(sch.Factory(), list.WithChecked(true), list.WithMaxThreads(threads))
 			insert, remove, contains = l.Insert, l.Remove, l.Contains
 			dom, drain = l.Domain(), l.Drain
 		} else {
-			m := hashmap.New(list.DomainFactory(sch.Make), hashmap.WithChecked(true), hashmap.WithMaxThreads(threads), hashmap.WithBuckets(2))
+			m := hashmap.New(sch.Factory(), hashmap.WithChecked(true), hashmap.WithMaxThreads(threads), hashmap.WithBuckets(2))
 			insert, remove, contains = m.Insert, m.Remove, m.Contains
 			dom, drain = m.Domain(), m.Drain
 		}
@@ -518,7 +500,7 @@ func makeStruct(name string, sch bench.Scheme) structOps {
 			},
 		}
 	case "queue":
-		q := queue.New(queue.DomainFactory(sch.Make), queue.WithChecked(true), queue.WithMaxThreads(threads))
+		q := queue.New(sch.Factory(), queue.WithChecked(true), queue.WithMaxThreads(threads))
 		return structOps{
 			model: linz.NewQueueModel(),
 			dom:   q.Domain(),
@@ -537,7 +519,7 @@ func makeStruct(name string, sch bench.Scheme) structOps {
 			},
 		}
 	case "stack":
-		s := stack.New(stack.DomainFactory(sch.Make), stack.WithChecked(true), stack.WithMaxThreads(threads))
+		s := stack.New(sch.Factory(), stack.WithChecked(true), stack.WithMaxThreads(threads))
 		return structOps{
 			model: linz.NewStackModel(),
 			dom:   s.Domain(),
@@ -564,7 +546,7 @@ func makeStruct(name string, sch bench.Scheme) structOps {
 // (structure, scheme) pair under one schedule seed. A checked-arena fault
 // panics inside a worker; the controller recovers it and reports it (with
 // the seed) as the schedule error.
-func runStructSeed(sch bench.Scheme, structName string, seed uint64) []string {
+func runStructSeed(sch smr.Scheme, structName string, seed uint64) []string {
 	so := makeStruct(structName, sch)
 	workers := *flagWorkers
 	ops := *flagOps

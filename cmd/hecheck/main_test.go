@@ -5,16 +5,17 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/smr"
 )
 
 // TestDomainSuiteClean is the no-mutation half of the acceptance gate:
 // every scheme must pass the shared-cell safety workload with zero oracle
 // violations and zero arena faults across a handful of seeds.
 func TestDomainSuiteClean(t *testing.T) {
-	for _, sch := range bench.AllSchemes() {
+	for _, sch := range smr.Schemes() {
 		for seed := uint64(1); seed <= 3; seed++ {
 			if vs := runDomainSeed(sch, nil, seed); len(vs) != 0 {
-				t.Errorf("%s seed=%d: %v", sch.Name, seed, vs)
+				t.Errorf("%s seed=%d: %v", sch, seed, vs)
 			}
 		}
 	}
@@ -27,17 +28,17 @@ func TestDomainSuiteClean(t *testing.T) {
 func TestStructSuiteSmoke(t *testing.T) {
 	pairs := []struct {
 		structName string
-		scheme     bench.Scheme
+		scheme     smr.Scheme
 	}{
-		{"list", bench.HE()},
-		{"map", bench.URCU()},
-		{"queue", bench.EBR()},
-		{"stack", bench.RC()},
+		{"list", smr.HE},
+		{"map", smr.URCU},
+		{"queue", smr.EBR},
+		{"stack", smr.RC},
 	}
 	for _, p := range pairs {
 		for seed := uint64(1); seed <= 2; seed++ {
 			if vs := runStructSeed(p.scheme, p.structName, seed); len(vs) != 0 {
-				t.Errorf("%s/%s seed=%d: %v", p.structName, p.scheme.Name, seed, vs)
+				t.Errorf("%s/%s seed=%d: %v", p.structName, p.scheme, seed, vs)
 			}
 		}
 	}
@@ -51,12 +52,12 @@ func TestStructSuiteSmoke(t *testing.T) {
 func TestMutationKillCheck(t *testing.T) {
 	cases := []struct {
 		name   string
-		scheme bench.Scheme
+		scheme smr.Scheme
 	}{
-		{"skip-publish", bench.HE()},
-		{"invert-lifespan", bench.HE()},
-		{"hyaline-early-dec", bench.Hyaline()},
-		{"wfe-skip-validate", bench.WFE()},
+		{"skip-publish", smr.HE},
+		{"invert-lifespan", smr.HE},
+		{"hyaline-early-dec", smr.Hyaline},
+		{"wfe-skip-validate", smr.WFE},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,8 +65,8 @@ func TestMutationKillCheck(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !spec.schemes[tc.scheme.Name] {
-				t.Fatalf("spec %s does not target scheme %s", tc.name, tc.scheme.Name)
+			if !spec.schemes[tc.scheme] {
+				t.Fatalf("spec %s does not target scheme %s", tc.name, tc.scheme)
 			}
 			var killedSeed uint64
 			var first []string
@@ -97,5 +98,48 @@ func TestMutationKillCheck(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFilterFlagsRejectUnknownNames pins the -scheme and -struct parsers:
+// every entry of a comma-separated filter must resolve, and the error names
+// the entry that did not — an unknown name next to a valid one must not be
+// silently dropped.
+func TestFilterFlagsRejectUnknownNames(t *testing.T) {
+	cases := []struct {
+		flag, spec string
+		n          int    // entries resolved on success
+		bad        string // offending entry on failure
+	}{
+		{"scheme", "HE,hyaline", 2, ""},
+		{"scheme", "hyaline-1r, WFE", 2, ""},
+		{"scheme", "HE,hyalin", 0, "hyalin"},
+		{"scheme", "HE,", 0, `""`},
+		{"struct", "", 4, ""},
+		{"struct", "list,stack", 2, ""},
+		{"struct", "list,lsit", 0, "lsit"},
+		{"struct", "bst", 0, "bst"},
+	}
+	for _, tc := range cases {
+		var n int
+		var err error
+		if tc.flag == "scheme" {
+			var got []smr.Scheme
+			got, err = bench.ParseSchemes(tc.spec)
+			n = len(got)
+		} else {
+			var got []string
+			got, err = parseStructs(tc.spec)
+			n = len(got)
+		}
+		if tc.bad == "" {
+			if err != nil || n != tc.n {
+				t.Errorf("-%s %q: got %d entries, err %v; want %d entries", tc.flag, tc.spec, n, err, tc.n)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.bad) {
+			t.Errorf("-%s %q: err %v, want one naming %s", tc.flag, tc.spec, err, tc.bad)
+		}
 	}
 }

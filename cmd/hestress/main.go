@@ -12,11 +12,12 @@
 //	  -phases churn:2s,read:1s,stall:2s
 //
 // Structures: list, map, queue, stack, bst, wfq, skiplist, all. Schemes:
-// HP, HE, HE-minmax, IBR, EBR, URCU, hyaline-1r, hyaline, WFE, RC, NONE,
-// all. -grow undersizes every
-// registry so the dynamic session-growth path (Register past the initial
-// capacity) is exercised under full contention; registration never fails
-// either way. -valsize N (or zipf:N) attaches a variable-size []byte
+// every name in the smr scheme registry (smr.Schemes; `hestress -h` lists
+// them), or all. An unknown structure or scheme name exits with status 2.
+// RC is skipped on the structures bench.RCUnsafe excludes. -grow undersizes
+// every registry so the dynamic session-growth path (Register past the
+// initial capacity) is exercised under full contention; registration never
+// fails either way. -valsize N (or zipf:N) attaches a variable-size []byte
 // payload to every key of the set-like structures, stressing the byte-class
 // sub-allocator's recycle path alongside node reclamation.
 //
@@ -32,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,9 +43,7 @@ import (
 	"repro/internal/bst"
 	"repro/internal/hashmap"
 	"repro/internal/list"
-	"repro/internal/obs"
 	"repro/internal/queue"
-	"repro/internal/reclaim"
 	"repro/internal/skiplist"
 	"repro/internal/stack"
 	"repro/internal/wfqueue"
@@ -53,174 +53,106 @@ import (
 type stressTarget struct {
 	name string
 	run  func(s bench.Scheme, threads int, dur time.Duration) (faults int64, ops int64)
-	// rcUnsafe marks structures with interior cells that deletion freezes
-	// forever (list-shaped traversals): Valois-style reference counting is
-	// unsound for true reclamation there (paper §1 on [28]) and is skipped.
-	// The wait-free queue is also marked: its helping protocol hands
-	// descriptor refs between threads through the announcement array, and
-	// slot-level counts cannot distinguish slot incarnations across the
-	// recycle a helper races with — checked runs fault nondeterministically
-	// on a stale descriptor dereference in help(). RC is re-usage-only
-	// there too.
-	rcUnsafe bool
 }
 
-// stressTargets is the full roster with its RC-exclusion markings; package
-// level so the regression test can pin the exclusion set (notably wfq —
-// see FAULT-WFQ-RC-001 in internal/wfqueue).
+// stressTargets is the full structure roster.
 func stressTargets() []stressTarget {
 	return []stressTarget{
-		{"list", stressList, true},
-		{"map", stressMap, true},
-		{"queue", stressQueue, false},
-		{"stack", stressStack, false},
-		{"bst", stressBST, true},
-		{"wfq", stressWFQueue, true},
-		{"skiplist", stressSkipList, true},
+		{"list", stressList},
+		{"map", stressMap},
+		{"queue", stressQueue},
+		{"stack", stressStack},
+		{"bst", stressBST},
+		{"wfq", stressWFQueue},
+		{"skiplist", stressSkipList},
 	}
+}
+
+// structNames lists the roster's structure names followed by "all".
+func structNames() []string {
+	var names []string
+	for _, t := range stressTargets() {
+		names = append(names, t.name)
+	}
+	return append(names, "all")
+}
+
+// parseStructs resolves the -struct flag against the roster; every entry
+// must name a structure.
+func parseStructs(spec string) ([]stressTarget, error) {
+	targets := stressTargets()
+	if spec == "all" {
+		return targets, nil
+	}
+	var out []stressTarget
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		i := slices.IndexFunc(targets, func(t stressTarget) bool { return t.name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown structure %q (want one of %s)", name, strings.Join(structNames(), ", "))
+		}
+		out = append(out, targets[i])
+	}
+	return out, nil
 }
 
 func main() {
 	var (
-		structs = flag.String("struct", "all", "list|map|queue|stack|bst|wfq|skiplist|all")
-		schemes = flag.String("scheme", "all", "HP|HE|HE-minmax|IBR|EBR|URCU|hyaline-1r|hyaline|WFE|RC|NONE|all")
+		structs = flag.String("struct", "all", strings.Join(structNames(), "|"))
+		schemes = flag.String("scheme", "all", strings.Join(smr.SchemeNames(), "|")+"|all")
 		threads = flag.Int("threads", 8, "concurrent workers")
 		dur     = flag.Duration("dur", time.Second, "stress duration per combination")
-		grow    = flag.Bool("grow", false, "undersize the registries (initial capacity 2) so every run exercises dynamic session growth")
-		metrics = flag.String("metrics", "", "serve live metrics on this address (/metrics, /metrics.json, /events.json, /debug/pprof); e.g. :9090")
-		sample  = flag.String("sample", "", "append per-domain observability snapshots to this file as JSON lines")
-		every   = flag.Duration("sample-every", 100*time.Millisecond, "sampling interval for -sample")
-		offload = flag.Int("offload", 0, "background reclaimer goroutines per domain (0 = inline reclamation)")
-		valsize = flag.String("valsize", "0", "per-key []byte payload size for set-like structures: 0 = word values (off), N = fixed N bytes, zipf:N = skewed sizes in [8,N]")
-		trace   = flag.String("trace", "", "sampled per-ref lifecycle tracing: \"all\" = every allocation, N = 1 in 2^N")
-		monitor = flag.Bool("monitor", false, "run the online health monitor: invariant alerts at /alerts.json and smr_alerts_*, alert lines to -sample")
 		phasesF = flag.String("phases", "", "shift the stress-regime over a phase schedule, e.g. churn:3s,read:3s,stall:3s (looped for the run; stall parks a reader on pinnable structures)")
 	)
+	envFlags := bench.RegisterEnvFlags(flag.CommandLine)
 	flag.Parse()
-	growMode = *grow
+	growMode = envFlags.Grow
 
-	if *offload > 0 {
-		bench.SetOffload(reclaim.OffloadConfig{Workers: *offload})
-	}
-	if *phasesF != "" {
-		ph, err := bench.ParsePhases(*phasesF)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		stressPhases = ph
-	}
-
-	var err error
-	byteSizer, err = bench.ParseValSizer(*valsize)
+	targets, err := parseStructs(*structs)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fatal(err)
 	}
-
-	if *trace != "" {
-		tc, err := bench.ParseTrace(*trace)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		bench.SetObsTrace(tc)
-	}
-
-	if *metrics != "" || *sample != "" || *trace != "" || *monitor {
-		hub := obs.NewHub()
-		bench.SetObsHub(hub)
-		// Close stops the monitor, flushes and stops the sampler, and joins
-		// the metrics server — in that order, so shutdown alerts still reach
-		// the sample file. Runs after the final sample below.
-		defer hub.Close()
-		if *metrics != "" {
-			addr, _, err := hub.Serve(*metrics)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("metrics: http://%s/metrics\n", addr)
-		}
-		var smp *obs.Sampler
-		if *sample != "" {
-			var err error
-			smp, err = obs.StartFileSampler(*sample, *every, hub.Domains)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sample: %v\n", err)
-				os.Exit(1)
-			}
-			hub.SetSampler(smp)
-			defer func() { smp.Sample(hub.Domains()) }()
-		}
-		if *monitor {
-			mon := obs.NewMonitor(obs.MonitorConfig{}, hub.Domains)
-			mon.SetOnAlert(func(a obs.Alert) {
-				if smp != nil {
-					smp.WriteAlert(a)
-				}
-			})
-			hub.SetMonitor(mon)
-			mon.Start()
+	picked := smr.Schemes()
+	if *schemes != "all" {
+		if picked, err = bench.ParseSchemes(*schemes); err != nil {
+			fatal(err)
 		}
 	}
-
-	roster := map[string]bench.Scheme{}
-	for _, s := range bench.AllSchemes() {
-		roster[s.Name] = s
+	if stressPhases, err = bench.ParsePhases(*phasesF); err != nil {
+		fatal(err)
 	}
-	var picked []bench.Scheme
-	if *schemes == "all" {
-		picked = bench.AllSchemes()
-	} else {
-		for _, name := range strings.Split(*schemes, ",") {
-			s, ok := roster[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown scheme %q\n", name)
-				os.Exit(2)
-			}
-			picked = append(picked, s)
-		}
+	env, closeEnv, err := envFlags.Env()
+	if err != nil {
+		fatal(err)
 	}
-
-	targets := stressTargets()
-	if *structs != "all" {
-		want := map[string]bool{}
-		for _, n := range strings.Split(*structs, ",") {
-			want[strings.TrimSpace(n)] = true
-		}
-		var filtered []stressTarget
-		for _, t := range targets {
-			if want[t.name] {
-				filtered = append(filtered, t)
-			}
-		}
-		if len(filtered) == 0 {
-			fmt.Fprintf(os.Stderr, "no structures matched %q\n", *structs)
-			os.Exit(2)
-		}
-		targets = filtered
-	}
+	byteSizer = env.ValSizer
 
 	failed := false
 	for _, t := range targets {
 		for _, s := range picked {
-			if t.rcUnsafe && s.Name == "RC" {
-				fmt.Printf("%-6s %-10s %10s  skipped: Valois RC is re-usage-only on frozen-cell structures (paper [28])\n", t.name, s.Name, "-")
+			if s == smr.RC && bench.RCUnsafe(t.name) {
+				fmt.Printf("%-6s %-10s %10s  skipped: Valois RC is re-usage-only on frozen-cell structures (paper [28])\n", t.name, s, "-")
 				continue
 			}
-			faults, ops := t.run(s, *threads, *dur)
+			faults, ops := t.run(env.Wrap(bench.Of(s)), *threads, *dur)
 			status := "OK"
 			if faults > 0 {
 				status = "FAULTS DETECTED"
 				failed = true
 			}
-			fmt.Printf("%-6s %-10s %10d ops  %3d faults  %s\n", t.name, s.Name, ops, faults, status)
+			fmt.Printf("%-6s %-10s %10d ops  %3d faults  %s\n", t.name, s, ops, faults, status)
 		}
 	}
+	closeEnv()
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// fatal reports a usage or setup error and exits with status 2.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(2)
 }
 
 // growMode deliberately undersizes every registry so the slot-block growth

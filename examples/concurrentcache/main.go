@@ -24,7 +24,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/hashmap"
-	"repro/internal/list"
+	"repro/smr"
 )
 
 const (
@@ -35,7 +35,7 @@ const (
 )
 
 func run(s bench.Scheme) (mops float64, pending int64) {
-	cache := hashmap.New(list.DomainFactory(s.Make),
+	cache := hashmap.New(s.Make,
 		hashmap.WithMaxThreads(readers+writers+1),
 		hashmap.WithBuckets(256))
 	dom := cache.Domain()
@@ -92,7 +92,7 @@ func run(s bench.Scheme) (mops float64, pending int64) {
 func main() {
 	fmt.Printf("cache: %d entries, %d readers + %d refresher, %v\n\n", entries, readers, writers, duration)
 	fmt.Printf("%-8s %12s %16s\n", "scheme", "Mops/s", "peak unreclaimed")
-	for _, s := range []bench.Scheme{bench.URCU(), bench.HE(), bench.HEk(16), bench.HP()} {
+	for _, s := range []bench.Scheme{bench.Of(smr.URCU), bench.Of(smr.HE), bench.HEk(16), bench.Of(smr.HP)} {
 		mops, peak := run(s)
 		fmt.Printf("%-8s %12.3f %16d\n", s.Name, mops, peak)
 	}

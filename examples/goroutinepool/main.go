@@ -29,9 +29,8 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/bench"
 	"repro/internal/hashmap"
-	"repro/internal/list"
+	"repro/smr"
 )
 
 const (
@@ -41,7 +40,7 @@ const (
 )
 
 func newMap() *hashmap.Map {
-	return hashmap.New(list.DomainFactory(bench.HE().Make),
+	return hashmap.New(smr.HE.Factory(),
 		hashmap.WithMaxThreads(initialCapacity), hashmap.WithBuckets(16))
 }
 

@@ -18,8 +18,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/bench"
 	"repro/internal/queue"
+	"repro/smr"
 )
 
 const (
@@ -29,7 +29,7 @@ const (
 )
 
 func main() {
-	mk := queue.DomainFactory(bench.HE().Make)
+	mk := smr.HE.Factory()
 	stage1 := queue.New(mk, queue.WithMaxThreads(producers+workers+2))
 	stage2 := queue.New(mk, queue.WithMaxThreads(workers+2))
 

@@ -40,6 +40,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/list"
 	"repro/internal/obs"
+	"repro/smr"
 )
 
 const (
@@ -70,7 +71,7 @@ func tick(mon *obs.Monitor, smp *obs.Sampler, hub *obs.Hub) {
 }
 
 func churnWithStalledReader(s bench.Scheme, hub *obs.Hub, smp *obs.Sampler, mon *obs.Monitor) (pending, freed int64) {
-	l := list.New(list.DomainFactory(s.Make), list.WithMaxThreads(4))
+	l := list.New(s.Make, list.WithMaxThreads(4))
 	dom := l.Domain()
 
 	setup := l.Register()
@@ -124,8 +125,7 @@ func main() {
 	flag.Parse()
 
 	hub := obs.NewHub()
-	bench.SetObsHub(hub)
-	bench.SetObsTrace(obs.TraceConfig{Enabled: true, SampleShift: *shift})
+	env := bench.Env{Hub: hub, Trace: obs.TraceConfig{Enabled: true, SampleShift: *shift}}
 	defer hub.Close()
 
 	var smp *obs.Sampler
@@ -154,12 +154,9 @@ func main() {
 	fmt.Printf("list of %d nodes, %d churn updates, one reader asleep mid-traversal\n", listSize, churnOps)
 	fmt.Printf("(node table below is captured while the reader is still parked)\n\n")
 	fmt.Printf("%-12s %18s %12s\n", "scheme", "unreclaimed nodes", "nodes freed")
-	for _, s := range []bench.Scheme{
-		bench.HE(), bench.HP(), bench.WFE(),
-		bench.Hyaline(), bench.HyalineNonRobust(), bench.EBR(),
-	} {
-		pending, freed := churnWithStalledReader(s, hub, smp, mon)
-		fmt.Printf("%-12s %18d %12d\n", s.Name, pending, freed)
+	for _, s := range []smr.Scheme{smr.HE, smr.HP, smr.WFE, smr.Hyaline, smr.HyalinePlain, smr.EBR} {
+		pending, freed := churnWithStalledReader(env.Wrap(bench.Of(s)), hub, smp, mon)
+		fmt.Printf("%-12s %18d %12d\n", s, pending, freed)
 	}
 
 	fmt.Println("\nhealth monitor era-stall summary:")

@@ -19,14 +19,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/queue"
 	"repro/internal/wfqueue"
 	"repro/smr"
 )
 
 func helpedCompletion() {
-	q := wfqueue.New(wfqueue.DomainFactory(bench.HE().Make), wfqueue.WithMaxThreads(4))
+	q := wfqueue.New(smr.HE.Factory(), wfqueue.WithMaxThreads(4))
 	sleeper := q.Register()
 	helper := q.Register()
 	defer q.Unregister(sleeper)
@@ -82,11 +81,11 @@ func run[H any](enq func(H, uint64), deq func(H) (uint64, bool),
 }
 
 func throughput() {
-	lf := queue.New(queue.DomainFactory(bench.HE().Make), queue.WithMaxThreads(workers+1))
+	lf := queue.New(smr.HE.Factory(), queue.WithMaxThreads(workers+1))
 	lfMops := run(lf.Enqueue, lf.Dequeue, lf.Register, (*smr.Guard).Unregister)
 	lf.Drain()
 
-	wf := wfqueue.New(wfqueue.DomainFactory(bench.HE().Make), wfqueue.WithMaxThreads(workers+1))
+	wf := wfqueue.New(smr.HE.Factory(), wfqueue.WithMaxThreads(workers+1))
 	wfMops := run(wf.Enqueue, wf.Dequeue, wf.Register, wf.Unregister)
 	wf.Drain()
 

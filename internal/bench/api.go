@@ -217,8 +217,8 @@ func APICompare(w io.Writer, o Options, which string) {
 			if which == "internal" {
 				fixture = b.internal
 			}
-			for _, s := range []Scheme{HE(), HP()} {
-				run, teardown := fixture(s)
+			for _, s := range schemesOf(smr.HE, smr.HP) {
+				run, teardown := fixture(o.Env.Wrap(s))
 				perOp := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.sliceIters) }
 				run(b.sliceIters)
 				vs := make([]float64, 0, rounds)
@@ -236,9 +236,9 @@ func APICompare(w io.Writer, o Options, which string) {
 		Section(w, "API overhead A/B: smr Guard path vs internal Handle path (%d interleaved ~1ms slices per side, 1 thread)", apiSlices)
 		t := NewTable("benchmark", "scheme", "internal ns/op", "public ns/op", "public/internal")
 		for _, b := range apiBenchmarks {
-			for _, s := range []Scheme{HE(), HP()} {
-				runInt, downInt := b.internal(s)
-				runPub, downPub := b.public(s)
+			for _, s := range schemesOf(smr.HE, smr.HP) {
+				runInt, downInt := b.internal(o.Env.Wrap(s))
+				runPub, downPub := b.public(o.Env.Wrap(s))
 				mi, mp := abMedians(apiSlices, b.sliceIters, runInt, runPub)
 				downInt()
 				downPub()

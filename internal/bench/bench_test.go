@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/smr"
 )
 
 func TestSplitMix64Deterministic(t *testing.T) {
@@ -68,7 +70,7 @@ func TestSplitMix64Uniformish(t *testing.T) {
 }
 
 func TestRunCellProducesOps(t *testing.T) {
-	res := RunCell(HE(), Workload{Size: 100, UpdatePercent: 10, Threads: 2}, 30*time.Millisecond, 1)
+	res := Env{}.RunCell(Of(smr.HE), Workload{Size: 100, UpdatePercent: 10, Threads: 2}, 30*time.Millisecond, 1)
 	if res.Ops <= 0 {
 		t.Fatal("no operations recorded")
 	}
@@ -87,7 +89,7 @@ func TestRunCellAllSchemes(t *testing.T) {
 	for _, s := range AllSchemes() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			res := RunCell(s, Workload{Size: 64, UpdatePercent: 20, Threads: 2}, 20*time.Millisecond, 1)
+			res := Env{}.RunCell(s, Workload{Size: 64, UpdatePercent: 20, Threads: 2}, 20*time.Millisecond, 1)
 			if res.Ops <= 0 {
 				t.Fatalf("%s: no ops", s.Name)
 			}
@@ -96,7 +98,7 @@ func TestRunCellAllSchemes(t *testing.T) {
 }
 
 func TestPrefillSizes(t *testing.T) {
-	l := newList(HE(), 4)
+	l := Env{}.newList(Of(smr.HE), 4)
 	Prefill(l, 500)
 	if got := l.Len(); got != 500 {
 		t.Fatalf("Len = %d, want 500", got)
@@ -107,22 +109,22 @@ func TestPrefillSizes(t *testing.T) {
 func TestMeasurePerNodeMatchesTable1(t *testing.T) {
 	// Read-only: HP ~ 2 loads + 1 store per node, HE ~ 2 loads + ~0 stores,
 	// EBR/URCU ~ 1 load.
-	loads, stores, _, visits := measurePerNode(HP(), 100, 0)
+	loads, stores, _, visits := Env{}.measurePerNode(Of(smr.HP), 100, 0)
 	if visits == 0 || loads < 1.9 || loads > 2.2 || stores < 0.9 || stores > 1.1 {
 		t.Fatalf("HP per-node = %.2f ld / %.2f st (%d visits)", loads, stores, visits)
 	}
 	// HE: 2 loads on the fast path; after every EndOp the three slots
 	// republish once each on their next use (3 stores + 6 extra loads per
 	// operation), amortized over ~size/2 visited nodes.
-	loads, stores, _, _ = measurePerNode(HE(), 100, 0)
+	loads, stores, _, _ = Env{}.measurePerNode(Of(smr.HE), 100, 0)
 	if loads < 1.9 || loads > 2.3 || stores > 0.1 {
 		t.Fatalf("HE per-node = %.2f ld / %.2f st", loads, stores)
 	}
-	loads, stores, _, _ = measurePerNode(EBR(), 100, 0)
+	loads, stores, _, _ = Env{}.measurePerNode(Of(smr.EBR), 100, 0)
 	if loads != 1 || stores != 0 {
 		t.Fatalf("EBR per-node = %.2f ld / %.2f st", loads, stores)
 	}
-	_, _, rmws, _ := measurePerNode(RC(), 100, 0)
+	_, _, rmws, _ := Env{}.measurePerNode(Of(smr.RC), 100, 0)
 	if rmws < 0.9 {
 		t.Fatalf("RC per-node rmws = %.2f, want ~1+", rmws)
 	}
@@ -132,7 +134,7 @@ func TestMeasureStalledBoundShapes(t *testing.T) {
 	// The paper's core qualitative claim (Appendix A): under a stalled
 	// reader EBR reclaims nothing, while HE keeps reclaiming new objects.
 	const size, churn = 50, 3000
-	_, finalHE, freedHE, verdictHE := measureStalledBound(HE(), size, churn)
+	_, finalHE, freedHE, verdictHE := Env{}.measureStalledBound(Of(smr.HE), size, churn)
 	if freedHE == 0 {
 		t.Fatal("HE must keep reclaiming under a stalled reader")
 	}
@@ -143,7 +145,7 @@ func TestMeasureStalledBoundShapes(t *testing.T) {
 		t.Fatalf("HE verdict = %q", verdictHE)
 	}
 
-	_, finalEBR, freedEBR, _ := measureStalledBound(EBR(), size, churn)
+	_, finalEBR, freedEBR, _ := Env{}.measureStalledBound(Of(smr.EBR), size, churn)
 	if freedEBR != 0 {
 		t.Fatalf("EBR freed %d under a stalled reader, expected 0", freedEBR)
 	}
@@ -151,7 +153,7 @@ func TestMeasureStalledBoundShapes(t *testing.T) {
 		t.Fatalf("EBR pending %d should grow with churn %d", finalEBR, churn)
 	}
 
-	_, finalHP, freedHP, _ := measureStalledBound(HP(), size, churn)
+	_, finalHP, freedHP, _ := Env{}.measureStalledBound(Of(smr.HP), size, churn)
 	if freedHP == 0 {
 		t.Fatal("HP must keep reclaiming under a stalled reader")
 	}
@@ -282,7 +284,7 @@ func TestMeasurePerNodeIBR(t *testing.T) {
 	// fewer stores: one interval re-publication per era change per
 	// OPERATION, regardless of how many protection indices the traversal
 	// uses.
-	loads, stores, rmws, visits := measurePerNode(IBR(), 100, 0)
+	loads, stores, rmws, visits := Env{}.measurePerNode(Of(smr.IBR), 100, 0)
 	if visits == 0 || loads < 1.9 || loads > 2.2 {
 		t.Fatalf("IBR per-node loads = %.2f (%d visits)", loads, visits)
 	}

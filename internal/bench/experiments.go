@@ -32,6 +32,9 @@ type Options struct {
 	// 2) so workers register through dynamically grown slot blocks — the
 	// hebench -grow flag. See Workload.Grow.
 	Grow bool
+	// Env is the run environment every cell's domains and structures are
+	// built in (observability, offload, byte values).
+	Env Env
 }
 
 // capFor is the structure capacity for a cell with n expected sessions:
@@ -95,22 +98,24 @@ func maxThreadsOf(threads []int) int {
 	return m + 2 // margin for setup thread and a stalled reader
 }
 
-func newList(s Scheme, threads int) *list.List {
+// newList builds a list under s in e: e wraps the scheme, and e.ValSizer
+// switches the list into byte-value mode.
+func (e Env) newList(s Scheme, threads int) *list.List {
 	opts := []list.Option{list.WithMaxThreads(threads)}
-	if valSizer != nil {
-		opts = append(opts, list.WithByteValues(valSizer))
+	if e.ValSizer != nil {
+		opts = append(opts, list.WithByteValues(e.ValSizer))
 	}
-	return list.New(list.DomainFactory(s.Make), opts...)
+	return list.New(e.Wrap(s).Make, opts...)
 }
 
-// RunCell builds a fresh list under scheme s, pre-fills it, runs one cell
-// of the paper's grid, and tears everything down.
-func RunCell(s Scheme, w Workload, dur time.Duration, seed uint64) Result {
+// RunCell builds a fresh list under scheme s in e, pre-fills it, runs one
+// cell of the paper's grid, and tears everything down.
+func (e Env) RunCell(s Scheme, w Workload, dur time.Duration, seed uint64) Result {
 	capacity := w.Threads + 2
 	if w.Grow {
 		capacity = 2
 	}
-	l := newList(s, capacity)
+	l := e.newList(s, capacity)
 	Prefill(l, w.Size)
 	res := RunSet(l, w, dur, seed)
 	l.Drain()
@@ -123,7 +128,7 @@ func RunCell(s Scheme, w Workload, dur time.Duration, seed uint64) Result {
 // number of operations, normalized to the value for Hazard Pointers").
 func Figure4(w io.Writer, o Options) {
 	o = o.defaulted()
-	schemes := Figure4Schemes()
+	schemes := schemesOf(smr.HP, smr.HE, smr.URCU)
 	for _, size := range o.Sizes {
 		for _, upd := range o.Updates {
 			Section(w, "Figure 4 panel: list size=%d, updates=%d%%, %v/cell", size, upd, o.Dur)
@@ -137,7 +142,7 @@ func Figure4(w io.Writer, o Options) {
 				row := []any{th}
 				var hpMops float64
 				for _, s := range schemes {
-					res := RunCell(s, wl, o.Dur, o.Seed)
+					res := o.Env.RunCell(s, wl, o.Dur, o.Seed)
 					if s.Name == "HP" {
 						hpMops = res.MopsPerSec
 					}
@@ -183,7 +188,7 @@ func Table1(w io.Writer, o Options) {
 	Section(w, "Table 1b: measured per-node reader synchronization (instrumented, list size=100)")
 	t = NewTable("scheme", "loads/node", "stores/node", "rmws/node", "nodes visited")
 	for _, s := range AllSchemes() {
-		loads, stores, rmws, visits := measurePerNode(s, 100, 0)
+		loads, stores, rmws, visits := o.Env.measurePerNode(s, 100, 0)
 		t.Row(s.Name, loads, stores, rmws, visits)
 	}
 	o.emit(w, t)
@@ -191,27 +196,28 @@ func Table1(w io.Writer, o Options) {
 	Section(w, "Table 1c: measured per-node reader synchronization under 100%% update churn by a second thread")
 	t = NewTable("scheme", "loads/node", "stores/node", "rmws/node", "nodes visited")
 	for _, s := range AllSchemes() {
-		loads, stores, rmws, visits := measurePerNode(s, 100, 100)
+		loads, stores, rmws, visits := o.Env.measurePerNode(s, 100, 100)
 		t.Row(s.Name, loads, stores, rmws, visits)
 	}
 	o.emit(w, t)
 
 	Section(w, "Table 1d: measured memory bound under a stalled reader (list size=100, churn=20000 updates)")
 	t = NewTable("scheme", "peak unreclaimed", "final unreclaimed", "freed", "verdict")
-	for _, s := range []Scheme{HE(), HP(), EBR(), Leak()} {
-		peak, final, freed, verdict := measureStalledBound(s, 100, 20000)
+	for _, s := range schemesOf(smr.HE, smr.HP, smr.EBR, smr.None) {
+		peak, final, freed, verdict := o.Env.measureStalledBound(s, 100, 20000)
 		t.Row(s.Name, peak, final, freed, verdict)
 	}
 	fmt.Fprintln(w, "(URCU omitted: its Retire blocks forever against a stalled reader — Table 1's 'blocking' row — demonstrated in internal/urcu tests)")
 	o.emit(w, t)
 }
 
-// measurePerNode runs an instrumented reader over a prefilled list; with
-// churnPercent > 0 a second thread performs remove+reinsert churn so the
-// era clock advances (degrading HE's fast path exactly as §4 describes).
-func measurePerNode(s Scheme, size uint64, churnPercent int) (loads, stores, rmws float64, visits int64) {
+// measurePerNode runs an instrumented reader over a prefilled list under s
+// in e; with churnPercent > 0 a second thread performs remove+reinsert
+// churn so the era clock advances (degrading HE's fast path exactly as §4
+// describes).
+func (e Env) measurePerNode(s Scheme, size uint64, churnPercent int) (loads, stores, rmws float64, visits int64) {
 	ins := smr.NewInstrument(8)
-	l := list.New(list.DomainFactory(s.Make), list.WithMaxThreads(8), list.WithInstrument(ins))
+	l := list.New(e.Wrap(s).Make, list.WithMaxThreads(8), list.WithInstrument(ins))
 	Prefill(l, size)
 
 	stop := make(chan struct{})
@@ -263,10 +269,11 @@ func measurePerNode(s Scheme, size uint64, churnPercent int) (loads, stores, rmw
 	return snap.PerVisitLoads(), snap.PerVisitStores(), snap.PerVisitRMWs(), snap.Visits
 }
 
-// measureStalledBound parks a reader mid-operation, churns updates, and
-// reports the pending-reclamation accounting (the Equation-1 subject).
-func measureStalledBound(s Scheme, size uint64, churnOps int) (peak, final, freed int64, verdict string) {
-	l := list.New(list.DomainFactory(s.Make), list.WithMaxThreads(8))
+// measureStalledBound parks a reader mid-operation on a list under s in e,
+// churns updates, and reports the pending-reclamation accounting (the
+// Equation-1 subject).
+func (e Env) measureStalledBound(s Scheme, size uint64, churnOps int) (peak, final, freed int64, verdict string) {
+	l := list.New(e.Wrap(s).Make, list.WithMaxThreads(8))
 	Prefill(l, size)
 	release := make(chan struct{})
 	done := StalledReader(l, release)
@@ -306,7 +313,7 @@ func EquationOneBound(w io.Writer, o Options) {
 	Section(w, "Equation 1: HE unreclaimed-object bound vs live set at stall (churn=20000)")
 	t := NewTable("live set at stall", "churn ops", "peak unreclaimed", "final unreclaimed", "bound respected")
 	for _, size := range []uint64{10, 100, 1000} {
-		peak, final, _, _ := measureStalledBound(HE(), size, 20000)
+		peak, final, _, _ := o.Env.measureStalledBound(Of(smr.HE), size, 20000)
 		// The bound: objects alive at the pinned era (size) plus the
 		// transient in-flight retiree per thread.
 		bound := int64(size) + list.Slots
@@ -324,7 +331,7 @@ func KAdvance(w io.Writer, o Options) {
 	Section(w, "Ablation (§3.4): era-clock k-advance, list size=%d, updates=%d%%, threads=%d", wl.Size, wl.UpdatePercent, th)
 	t := NewTable("k", "Mops", "peak pending", "final era clock")
 	for _, k := range []int{1, 4, 16, 64} {
-		res := RunCell(HEk(k), wl, o.Dur, o.Seed)
+		res := o.Env.RunCell(HEk(k), wl, o.Dur, o.Seed)
 		t.Row(k, res.MopsPerSec, res.Domain.PeakPending, res.Domain.EraClock)
 	}
 	o.emit(w, t)
@@ -342,12 +349,12 @@ func MinMax(w io.Writer, o Options) {
 	for _, upd := range []int{0, 10} {
 		t := NewTable("scheme", "Mops", "ratio vs HP", "peak pending")
 		var hpMops float64
-		for _, s := range []Scheme{HP(), HE(), HEMinMax()} {
+		for _, s := range schemesOf(smr.HP, smr.HE, smr.HEMinMax) {
 			trOpts := []bst.Option{bst.WithMaxThreads(o.capFor(th + 2))}
-			if valSizer != nil {
-				trOpts = append(trOpts, bst.WithByteValues(valSizer))
+			if o.Env.ValSizer != nil {
+				trOpts = append(trOpts, bst.WithByteValues(o.Env.ValSizer))
 			}
-			tr := bst.New(bst.DomainFactory(s.Make), trOpts...)
+			tr := bst.New(o.Env.Wrap(s).Make, trOpts...)
 			Prefill(tr, size)
 			res := RunSet(tr, Workload{Size: size, UpdatePercent: upd, Threads: th}, o.Dur, o.Seed)
 			tr.Drain()
@@ -378,7 +385,7 @@ func Oversubscription(w io.Writer, o Options) {
 	wlSize := uint64(100)
 	upd := 50
 	Section(w, "Oversubscription: list size=%d, updates=%d%%, NumCPU=%d", wlSize, upd, cores)
-	schemes := []Scheme{HP(), HE(), EBR(), URCU()}
+	schemes := schemesOf(smr.HP, smr.HE, smr.EBR, smr.URCU)
 	head := []string{"threads"}
 	for _, s := range schemes {
 		head = append(head, s.Name+" Mops", s.Name+"/HP")
@@ -390,7 +397,7 @@ func Oversubscription(w io.Writer, o Options) {
 		row := []any{th}
 		var hpMops float64
 		for _, s := range schemes {
-			res := RunCell(s, wl, o.Dur, o.Seed)
+			res := o.Env.RunCell(s, wl, o.Dur, o.Seed)
 			if s.Name == "HP" {
 				hpMops = res.MopsPerSec
 			}
@@ -417,10 +424,10 @@ func Stalled(w io.Writer, o Options) {
 	Section(w, "Appendix A (Figs. 5/6): pending objects vs churn under a stalled reader, list size=100")
 	churns := []int{1000, 5000, 20000}
 	t := NewTable("scheme", "pend@1k", "freed@1k", "pend@5k", "freed@5k", "pend@20k", "freed@20k")
-	for _, s := range []Scheme{HE(), HP(), WFE(), Hyaline(), HyalineNonRobust(), EBR()} {
+	for _, s := range schemesOf(smr.HE, smr.HP, smr.WFE, smr.Hyaline, smr.HyalinePlain, smr.EBR) {
 		row := []any{s.Name}
 		for _, churn := range churns {
-			_, final, freed, _ := measureStalledBound(s, 100, churn)
+			_, final, freed, _ := o.Env.measureStalledBound(s, 100, churn)
 			row = append(row, final, freed)
 		}
 		t.Row(row...)
@@ -445,7 +452,7 @@ func RFactor(w io.Writer, o Options) {
 	Section(w, "Ablation: HP scan threshold (R factor), list size=%d, updates=%d%%, threads=%d", wl.Size, wl.UpdatePercent, th)
 	t := NewTable("R", "Mops", "peak pending", "scans", "freed")
 	for _, r := range []int{1, 8, 64, 512} {
-		res := RunCell(HPr(r), wl, o.Dur, o.Seed)
+		res := o.Env.RunCell(HPr(r), wl, o.Dur, o.Seed)
 		t.Row(r, res.MopsPerSec, res.Domain.PeakPending, res.Domain.Scans, res.Domain.Freed)
 	}
 	o.emit(w, t)
@@ -463,7 +470,7 @@ func RFactor(w io.Writer, o Options) {
 				// ScanR=0 is the paper's scan-per-retire default.
 				s.Name = s.Name[:strings.IndexByte(s.Name, '-')]
 			}
-			res := RunCell(s, wl, o.Dur, o.Seed)
+			res := o.Env.RunCell(s, wl, o.Dur, o.Seed)
 			t2.Row(s.Name, r, res.MopsPerSec, res.Domain.PeakPending, res.Domain.Scans, res.Domain.Freed)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/reclaim"
 	"repro/internal/schedtest"
+	"repro/smr"
 )
 
 // TestStalledReaderBounds is Figure 4's robustness contrast as a seeded,
@@ -24,12 +25,12 @@ func TestStalledReaderBounds(t *testing.T) {
 		scheme  Scheme
 		bounded bool
 	}{
-		{HE(), true},
-		{HP(), true},
-		{WFE(), true},
-		{Hyaline(), true},
-		{HyalineNonRobust(), false},
-		{EBR(), false},
+		{Of(smr.HE), true},
+		{Of(smr.HP), true},
+		{Of(smr.WFE), true},
+		{Of(smr.Hyaline), true},
+		{Of(smr.HyalinePlain), false},
+		{Of(smr.EBR), false},
 	}
 	for _, tc := range cases {
 		for _, seed := range []uint64{1, 2, 3} {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/list"
+	"repro/smr"
 )
 
 // This file is the roster throughput comparison behind BENCH_schemes.json:
@@ -35,7 +36,7 @@ type rosterWorkload struct {
 // as opposed to the isolated per-primitive costs of the other workloads.
 func listOpsFixture(s Scheme) (func(int), func()) {
 	const size = 100
-	l := list.New(list.DomainFactory(s.Make), list.WithMaxThreads(4))
+	l := list.New(s.Make, list.WithMaxThreads(4))
 	setup := l.Register()
 	for k := uint64(0); k < size; k++ {
 		l.Insert(setup, k, k)
@@ -69,13 +70,13 @@ const schemesSlices = 400
 // through all of them for `slices` rounds, and returns each scheme's
 // median slice cost in ns/op. One untimed warmup slice per scheme fills
 // magazines and branch history.
-func rosterMedians(slices, sliceIters int, schemes []Scheme,
+func rosterMedians(env Env, slices, sliceIters int, schemes []Scheme,
 	fixture func(Scheme) (func(int), func())) []float64 {
 	runs := make([]func(int), len(schemes))
 	downs := make([]func(), len(schemes))
 	samples := make([][]float64, len(schemes))
 	for i, s := range schemes {
-		runs[i], downs[i] = fixture(s)
+		runs[i], downs[i] = fixture(env.Wrap(s))
 		runs[i](sliceIters)
 		samples[i] = make([]float64, 0, slices)
 	}
@@ -96,14 +97,25 @@ func rosterMedians(slices, sliceIters int, schemes []Scheme,
 }
 
 // rosterWorkloads is the benchmark grid of SchemesCompare. RC is excluded
-// from ListOps (unguarded refcount traversal is unsafe on the Harris list,
-// the same exclusion cmd/hestress applies) and both baselines are excluded
-// from RetireScan (NONE never frees, so a long run grows without bound;
-// RC frees at release time, so its "retire" is not comparable work).
-var rosterWorkloads = []rosterWorkload{
-	{"HandleOps", 30_000, AllSchemes(), handleOpsInternalFixture},
-	{"RetireScan", 15_000, []Scheme{HP(), HE(), HEMinMax(), IBR(), EBR(), URCU(), Hyaline(), HyalineNonRobust(), WFE()}, retireScanInternalFixture},
-	{"ListOps", 3_000, []Scheme{HP(), HE(), HEMinMax(), IBR(), EBR(), URCU(), Hyaline(), HyalineNonRobust(), WFE(), Leak()}, listOpsFixture},
+// from ListOps (RCUnsafe: unguarded refcount traversal is unsafe on the
+// Harris list) and both baselines are excluded from RetireScan (NONE never
+// frees, so a long run grows without bound; RC frees at release time, so
+// its "retire" is not comparable work).
+func rosterWorkloads() []rosterWorkload {
+	var reclaiming, listSafe []Scheme
+	for _, s := range smr.Schemes() {
+		if s != smr.RC && s != smr.None {
+			reclaiming = append(reclaiming, Of(s))
+		}
+		if s != smr.RC || !RCUnsafe("list") {
+			listSafe = append(listSafe, Of(s))
+		}
+	}
+	return []rosterWorkload{
+		{"HandleOps", 30_000, AllSchemes(), handleOpsInternalFixture},
+		{"RetireScan", 15_000, reclaiming, retireScanInternalFixture},
+		{"ListOps", 3_000, listSafe, listOpsFixture},
+	}
 }
 
 // SchemesCompare runs the roster throughput comparison; BENCH_schemes.json
@@ -115,8 +127,8 @@ func SchemesCompare(w io.Writer, o Options) {
 	o = o.defaulted()
 	Section(w, "Scheme roster comparison (%d interleaved ~1ms slices per scheme per workload, 1 thread)", schemesSlices)
 	t := NewTable("workload", "scheme", "ns/op", "vs HE")
-	for _, rw := range rosterWorkloads {
-		meds := rosterMedians(schemesSlices, rw.sliceIters, rw.schemes, rw.fixture)
+	for _, rw := range rosterWorkloads() {
+		meds := rosterMedians(o.Env, schemesSlices, rw.sliceIters, rw.schemes, rw.fixture)
 		heNs := 0.0
 		for i, s := range rw.schemes {
 			if s.Name == "HE" {

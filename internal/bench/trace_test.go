@@ -8,6 +8,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/reclaim"
 	"repro/internal/schedtest"
+	"repro/smr"
 )
 
 // TestSpanConservation proves the lifecycle tracer loses nothing: under a
@@ -18,24 +19,17 @@ import (
 // the traced substrate (Handle.FreeRetired / Base.freeAt) or whose retire
 // path double-freed would break the count.
 func TestSpanConservation(t *testing.T) {
-	defer func() {
-		SetObsHub(nil)
-		SetObsTrace(obs.TraceConfig{})
-	}()
-	schemes := []Scheme{
-		HE(), HP(), EBR(), URCU(), IBR(), RC(),
-		Hyaline(), HyalineNonRobust(), WFE(),
-	}
+	schemes := schemesOf(smr.HE, smr.HP, smr.EBR, smr.URCU, smr.IBR, smr.RC,
+		smr.Hyaline, smr.HyalinePlain, smr.WFE)
 	for _, s := range schemes {
 		for _, seed := range []uint64{1, 2} {
 			hub := obs.NewHub()
-			SetObsHub(hub)
-			SetObsTrace(obs.TraceConfig{
+			env := Env{Hub: hub, Trace: obs.TraceConfig{
 				Enabled: true, SampleAll: true,
 				MaxLive: 1 << 16, MaxEvents: 1 << 12, MaxDone: 1 << 16,
-			})
+			}}
 			arena := mem.NewArena[uint64](mem.Checked[uint64](true))
-			dom := s.Make(arena, reclaim.Config{MaxThreads: 4, Slots: 2})
+			dom := env.Wrap(s).Make(arena, reclaim.Config{MaxThreads: 4, Slots: 2})
 			doms := hub.Domains()
 			if len(doms) != 1 {
 				t.Fatalf("%s: %d obs domains attached, want 1", s.Name, len(doms))

@@ -6,23 +6,6 @@ import (
 	"strings"
 )
 
-// valSizer, when non-nil, switches every subsequently constructed benchmark
-// structure into byte-value mode: each key carries a real variable-size
-// []byte payload through the size-class arena, sized per key by this
-// function. Set it (SetValSizer) before building structures; nil keeps the
-// word-value fast path — the zero-overhead default.
-var valSizer func(key uint64) int
-
-// SetValSizer routes all subsequently constructed benchmark structures
-// through the byte-class sub-allocator with the given per-key payload sizer
-// (nil turns byte mode back off). Drivers call this once at startup when
-// -valsize is requested; like SetObsHub it is not safe to flip while
-// structures are being built concurrently.
-func SetValSizer(fn func(key uint64) int) { valSizer = fn }
-
-// ValSizerFn returns the sizer installed by SetValSizer, or nil.
-func ValSizerFn() func(key uint64) int { return valSizer }
-
 // ParseValSizer parses the -valsize flag grammar into a per-key payload
 // sizer:
 //

@@ -146,7 +146,14 @@ func TestHubCloseShutsDownCleanly(t *testing.T) {
 	if _, _, err := hub.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond) // let the ticker goroutines run
+	// Let the ticker goroutines run until the sampler has written its first
+	// line (each tick flushes), bounded so a stuck ticker fails below
+	// rather than hanging the test.
+	for wait := time.Now().Add(2 * time.Second); time.Now().Before(wait); time.Sleep(time.Millisecond) {
+		if b, _ := os.ReadFile(path); strings.Contains(string(b), `"scheme":"closer"`) {
+			break
+		}
+	}
 
 	hub.Close()
 	hub.Close() // idempotent

@@ -184,6 +184,19 @@ func (b *Base) SetObsEraView(clock func() uint64, decode func(words []atomicx.Pa
 	b.obsEraDecode = decode
 }
 
+// Observe attaches a fresh observability domain named name, configured by
+// oc, to hub and wires d's sources into it. Schemes without EnableObs are
+// left uninstrumented. Like EnableObs it runs at construction time only.
+func Observe(d Domain, hub *obs.Hub, name string, oc obs.Config) {
+	e, ok := d.(interface{ EnableObs(*obs.Domain) })
+	if !ok {
+		return
+	}
+	od := obs.NewDomain(name, oc)
+	e.EnableObs(od)
+	hub.Attach(od)
+}
+
 // EnableObs attaches an observability domain: statistics, era-lag gauges
 // and per-object byte accounting flow out through d, and every session
 // registered from now on caches d's flight-recorder ring and latency

@@ -3,28 +3,25 @@ package repro
 import (
 	"repro/internal/bst"
 	"repro/internal/core"
-	"repro/internal/ebr"
 	"repro/internal/hashmap"
 	"repro/internal/hp"
-	"repro/internal/ibr"
-	"repro/internal/leak"
 	"repro/internal/list"
 	"repro/internal/mem"
 	"repro/internal/queue"
-	"repro/internal/rc"
 	"repro/internal/reclaim"
 	"repro/internal/skiplist"
 	"repro/internal/stack"
-	"repro/internal/urcu"
 	"repro/smr"
 )
 
 // This file is the structure-level face of the library. The reclamation API
-// itself lives in the smr package — Domain[T], Guard, Atomic[T] — and the
-// names here are aliases into smr plus constructors for the ported data
-// structures and the concrete schemes, so `go doc repro` is the structure
-// reference and `go doc repro/smr` the reclamation reference. The
-// implementation stays sealed in internal/ packages.
+// itself lives in the smr package — Domain[T], Guard, Atomic[T], and the
+// scheme registry whose smr.X.Factory() builds every scheme — and the names
+// here are aliases into smr plus constructors for the ported data
+// structures and the two option-taking schemes (Hazard Eras, Hazard
+// Pointers), so `go doc repro` is the structure reference and
+// `go doc repro/smr` the reclamation reference. The implementation stays
+// sealed in internal/ packages.
 
 // ---- reclamation API (the smr package) -----------------------------------
 
@@ -115,22 +112,6 @@ type HazardPointers = hp.Pointers
 func NewHazardPointers(alloc Allocator, cfg Config, opts ...hp.Option) *HazardPointers {
 	return hp.New(alloc, cfg, opts...)
 }
-
-// NewEBR constructs an epoch-based-reclamation domain (internal/ebr).
-func NewEBR(alloc Allocator, cfg Config) Domain { return ebr.New(alloc, cfg) }
-
-// NewURCU constructs a Grace-Version Userspace-RCU domain (internal/urcu).
-func NewURCU(alloc Allocator, cfg Config) Domain { return urcu.New(alloc, cfg) }
-
-// NewIBR constructs a 2GE interval-based-reclamation domain
-// (internal/ibr), the follow-on scheme Hazard Eras inspired.
-func NewIBR(alloc Allocator, cfg Config) Domain { return ibr.New(alloc, cfg) }
-
-// NewRefCount constructs the reference-counting baseline (internal/rc).
-func NewRefCount(alloc Allocator, cfg Config) Domain { return rc.New(alloc, cfg) }
-
-// NewLeak constructs the no-reclamation control (internal/leak).
-func NewLeak(alloc Allocator, cfg Config) Domain { return leak.New(alloc, cfg) }
 
 // ---- data structures ----------------------------------------------------
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/smr"
 )
 
 func newCell(v uint64) *atomic.Uint64 {
@@ -43,18 +44,18 @@ func TestPublicListRoundTrip(t *testing.T) {
 
 func TestPublicSchemesInterchangeable(t *testing.T) {
 	factories := map[string]repro.DomainFactory{
-		"HE": heFactory,
 		"HE-k8": func(a repro.Allocator, c repro.Config) repro.Domain {
 			return repro.NewHazardEras(a, c, repro.WithAdvanceEvery(8))
 		},
-		"HE-minmax": func(a repro.Allocator, c repro.Config) repro.Domain {
+		"HE-minmax-facade": func(a repro.Allocator, c repro.Config) repro.Domain {
 			return repro.NewHazardEras(a, c, repro.WithMinMax(true))
 		},
-		"HP":   func(a repro.Allocator, c repro.Config) repro.Domain { return repro.NewHazardPointers(a, c) },
-		"EBR":  repro.NewEBR,
-		"URCU": repro.NewURCU,
-		"RC":   repro.NewRefCount,
-		"NONE": repro.NewLeak,
+		"HP-facade": func(a repro.Allocator, c repro.Config) repro.Domain {
+			return repro.NewHazardPointers(a, c)
+		},
+	}
+	for _, s := range smr.Schemes() {
+		factories[s.String()] = s.Factory()
 	}
 	for name, mk := range factories {
 		t.Run(name, func(t *testing.T) {

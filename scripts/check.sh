@@ -117,6 +117,8 @@ echo "== tests =="
 go test ./...
 echo "== benchmark module tests (cmd/heperf is a nested module go test ./... skips) =="
 (cd cmd/heperf && GOFLAGS= GOWORK=off go test ./...)
+echo "== benchmark module vet (root go build never sees cmd/heperf; an smr API break must fail here) =="
+(cd cmd/heperf && GOFLAGS= GOWORK=off go vet ./...)
 echo "== race (reclamation core) =="
 go test -race ./internal/core/... ./internal/reclaim/... ./internal/mem/...
 echo "== race (registry growth + session churn, every scheme) =="

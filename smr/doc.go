@@ -7,10 +7,12 @@
 //
 // The three core types:
 //
-//   - Domain[T] — a reclamation scheme (Hazard Eras, Hazard Pointers, EBR,
-//     URCU, IBR, or the §3.4 HE min/max variant) bound to a typed arena of
-//     T nodes. Construct one with New (scheme enum) or NewWith (any
-//     Factory, e.g. a parameterized variant).
+//   - Domain[T] — a reclamation scheme (any of the Scheme constants that
+//     Schemes lists: Hazard Eras and its §3.4 min/max variant, Hazard
+//     Pointers, EBR, URCU, IBR, Hyaline, WFE, reference counting, or the
+//     no-reclamation control) bound to a typed arena of T nodes. Construct
+//     one with New (scheme enum) or NewWith (any Factory, e.g. a
+//     parameterized variant).
 //   - Guard — a registered session. Acquire/Release ride the domain's
 //     handle pool, so steady-state acquisition allocates nothing; a
 //     released Guard panics on any further session use (Alloc alone falls

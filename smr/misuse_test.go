@@ -12,10 +12,6 @@ type node struct {
 	next smr.Atomic[node]
 }
 
-func allSchemes() []smr.Scheme {
-	return []smr.Scheme{smr.HE, smr.HEMinMax, smr.HP, smr.EBR, smr.URCU, smr.IBR}
-}
-
 func newDomain(s smr.Scheme) *smr.Domain[node] {
 	return smr.New[node](s, smr.Config{MaxThreads: 4, Slots: 2})
 }
@@ -53,7 +49,7 @@ func mustPanic(t *testing.T, fn func(), want ...string) {
 // are owner-only plain loads, so the race detector proves the fast path
 // stays free of cross-goroutine traffic.
 func TestMisusePanics(t *testing.T) {
-	for _, s := range allSchemes() {
+	for _, s := range smr.Schemes() {
 		t.Run(s.String(), func(t *testing.T) {
 			t.Run("DoubleRelease", func(t *testing.T) {
 				d := newDomain(s)
@@ -183,7 +179,7 @@ func TestGuardReuseAfterAcquire(t *testing.T) {
 // TestOperationRoundTrip is the positive control: the full protected
 // traversal protocol through the public surface, per scheme.
 func TestOperationRoundTrip(t *testing.T) {
-	for _, s := range allSchemes() {
+	for _, s := range smr.Schemes() {
 		t.Run(s.String(), func(t *testing.T) {
 			d := newDomain(s)
 			g := d.Register()

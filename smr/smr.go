@@ -1,17 +1,10 @@
 package smr
 
 import (
-	"repro/internal/core"
-	"repro/internal/ebr"
-	"repro/internal/hp"
-	"repro/internal/hyaline"
-	"repro/internal/ibr"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/payload"
 	"repro/internal/reclaim"
-	"repro/internal/urcu"
-	"repro/internal/wfe"
 )
 
 // ---- substrate re-exports ------------------------------------------------
@@ -120,90 +113,6 @@ func EncodePayload(p []byte, val uint64) { payload.Encode(p, val) }
 
 // DecodePayload recovers the value word from a payload block.
 func DecodePayload(p []byte) uint64 { return payload.Decode(p) }
-
-// ---- schemes -------------------------------------------------------------
-
-// Scheme names a reclamation algorithm for New.
-type Scheme int
-
-const (
-	// HE is Hazard Eras (the paper's Algorithms 1-3).
-	HE Scheme = iota
-	// HEMinMax is Hazard Eras with §3.4 min/max era publication (deep
-	// traversals publish at most two eras total).
-	HEMinMax
-	// HP is the Hazard Pointers baseline (Michael 2004).
-	HP
-	// EBR is the epoch-based-reclamation baseline.
-	EBR
-	// URCU is the Grace-Version Userspace-RCU baseline (blocking retires).
-	URCU
-	// IBR is 2GE interval-based reclamation, the HE follow-on.
-	IBR
-	// Hyaline is robust Hyaline-1R (Nikolaev & Ravindran 2019):
-	// snapshot-free reclamation by per-batch reference-counted handoff,
-	// with the birth-era filter that bounds memory under stalled readers.
-	Hyaline
-	// HyalinePlain is Hyaline without the robustness filter: every batch
-	// is handed to every active session, so one stalled reader pins all
-	// subsequent retirements (EBR's failure mode).
-	HyalinePlain
-	// WFE is Wait-Free Eras (Nikolaev & Ravindran 2020): Hazard Eras with
-	// a bounded Protect retry loop backed by an announce/help protocol, so
-	// readers are wait-free rather than lock-free.
-	WFE
-)
-
-// String returns the display name used in stats and metrics.
-func (s Scheme) String() string {
-	switch s {
-	case HE:
-		return "HE"
-	case HEMinMax:
-		return "HE-minmax"
-	case HP:
-		return "HP"
-	case EBR:
-		return "EBR"
-	case URCU:
-		return "URCU"
-	case IBR:
-		return "IBR"
-	case Hyaline:
-		return "hyaline-1r"
-	case HyalinePlain:
-		return "hyaline"
-	case WFE:
-		return "WFE"
-	}
-	return "unknown"
-}
-
-// Factory returns the backend constructor for the scheme, for use with
-// NewWith or any structure's DomainFactory parameter.
-func (s Scheme) Factory() Factory {
-	switch s {
-	case HE:
-		return func(a Allocator, c Config) Backend { return core.New(a, c) }
-	case HEMinMax:
-		return func(a Allocator, c Config) Backend { return core.New(a, c, core.WithMinMax(true)) }
-	case HP:
-		return func(a Allocator, c Config) Backend { return hp.New(a, c) }
-	case EBR:
-		return func(a Allocator, c Config) Backend { return ebr.New(a, c) }
-	case URCU:
-		return func(a Allocator, c Config) Backend { return urcu.New(a, c) }
-	case IBR:
-		return func(a Allocator, c Config) Backend { return ibr.New(a, c) }
-	case Hyaline:
-		return func(a Allocator, c Config) Backend { return hyaline.New(a, c) }
-	case HyalinePlain:
-		return func(a Allocator, c Config) Backend { return hyaline.New(a, c, hyaline.WithRobust(false)) }
-	case WFE:
-		return func(a Allocator, c Config) Backend { return wfe.New(a, c) }
-	}
-	panic("smr: unknown Scheme")
-}
 
 // ---- Domain[T] -----------------------------------------------------------
 
@@ -344,11 +253,5 @@ func (d *Domain[T]) Drain() { d.dom.Drain() }
 // to this domain's statistics, era-lag and arena sources. Call before the
 // first Register/Acquire; sessions registered earlier stay uninstrumented.
 func (d *Domain[T]) Observe(hub *Hub, name string) {
-	oc, ok := d.dom.(interface{ EnableObs(*obs.Domain) })
-	if !ok {
-		return
-	}
-	od := obs.NewDomain(name, obs.Config{Sessions: d.cfg.MaxThreads})
-	oc.EnableObs(od)
-	hub.Attach(od)
+	reclaim.Observe(d.dom, hub, name, obs.Config{Sessions: d.cfg.MaxThreads})
 }
