@@ -85,7 +85,6 @@ type Option func(*config)
 type config struct {
 	checked  bool
 	threads  int
-	ins      *reclaim.Instrument
 	byteVals bool
 	valSizer func(key uint64) int
 }
@@ -96,9 +95,6 @@ func WithChecked(on bool) Option { return func(c *config) { c.checked = on } }
 // WithMaxThreads sets the domain's initial session capacity (default 64);
 // the registry grows past it on demand.
 func WithMaxThreads(n int) Option { return func(c *config) { c.threads = n } }
-
-// WithInstrument attaches reader-side op counting to the domain.
-func WithInstrument(ins *reclaim.Instrument) Option { return func(c *config) { c.ins = ins } }
 
 // WithByteValues stores leaf values as variable-size payload blocks in the
 // arena's size-class space (see list.WithByteValues); sizer maps a key to
@@ -126,7 +122,7 @@ func New(mk DomainFactory, opts ...Option) *Tree {
 		arenaOpts = append(arenaOpts, mem.WithByteClasses[Node]())
 	}
 	arena := mem.NewArena[Node](arenaOpts...)
-	dom := mk(arena, reclaim.Config{MaxThreads: c.threads, Slots: Slots, Instrument: c.ins})
+	dom := mk(arena, reclaim.Config{MaxThreads: c.threads, Slots: Slots})
 	return &Tree{arena: arena, dom: dom, byteVals: c.byteVals, valSizer: c.valSizer}
 }
 

@@ -38,7 +38,6 @@ type config struct {
 	checked  bool
 	threads  int
 	buckets  int
-	ins      *smr.Instrument
 	byteVals bool
 	valSizer func(key uint64) int
 }
@@ -53,9 +52,6 @@ func WithMaxThreads(n int) Option { return func(c *config) { c.threads = n } }
 // WithBuckets sets the bucket count, rounded up to a power of two
 // (default 1024).
 func WithBuckets(n int) Option { return func(c *config) { c.buckets = n } }
-
-// WithInstrument attaches reader-side op counting to the domain.
-func WithInstrument(ins *smr.Instrument) Option { return func(c *config) { c.ins = ins } }
 
 // WithByteValues stores values as variable-size payload blocks in the
 // shared arena's size-class space (see list.WithByteValues); sizer maps a
@@ -82,7 +78,7 @@ func New(mk list.DomainFactory, opts ...Option) *Map {
 	if c.byteVals {
 		arenaOpts = append(arenaOpts, smr.WithByteValues[list.Node]())
 	}
-	d := smr.NewWith[list.Node](mk, smr.Config{MaxThreads: c.threads, Slots: list.Slots, Instrument: c.ins}, arenaOpts...)
+	d := smr.NewWith[list.Node](mk, smr.Config{MaxThreads: c.threads, Slots: list.Slots}, arenaOpts...)
 	return &Map{
 		ops:     list.Ops{D: d, ByteVals: c.byteVals, ValSizer: c.valSizer},
 		buckets: make([]bucket, n),

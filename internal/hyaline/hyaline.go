@@ -98,7 +98,7 @@ type batch struct {
 	refs     []mem.Ref
 	minBirth uint64
 	// sealT is the obs.Now() timestamp at sealing, stamped only when the
-	// domain has observability attached (0 otherwise); the batch-age gauges
+	// sealing session is observed (0 otherwise); the batch-age gauges
 	// read it. Immutable after scan publishes the batch.
 	sealT int64
 	rc    atomic.Int64
@@ -440,11 +440,9 @@ func (d *Domain) scan(h *reclaim.Handle) {
 			b.minBirth = e
 		}
 	}
-	if d.Obs() != nil {
-		// Seal timestamp for the batch-age gauges; stamped only with obs
-		// attached so the production scan never reads the clock.
-		b.sealT = obs.Now()
-	}
+	// Seal timestamp for the batch-age gauges; zero without obs attached,
+	// so the production scan never reads the clock.
+	b.sealT = h.ObsNow()
 
 	var inserted int64
 	for _, st := range *d.hand.Load() {

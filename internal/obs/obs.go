@@ -5,8 +5,8 @@
 // stalled reader (Figure 4 / Appendix A), era lag per session, and the
 // latency tails of the protect, retire and scan paths.
 //
-// The enable/disable discipline mirrors internal/schedtest: production code
-// holds nil observability pointers and pays one untaken branch per hook;
+// The enable/disable discipline mirrors internal/schedtest: an unobserved
+// reclaim.Handle holds a nil probe and pays one untaken branch per hook;
 // a domain becomes observable only when reclaim.Base.EnableObs attaches a
 // *Domain built here, at construction time, before any session runs. Every
 // recording structure is striped or single-writer-biased so an enabled

@@ -46,7 +46,6 @@ type Option func(*config)
 type config struct {
 	checked bool
 	threads int
-	ins     *smr.Instrument
 }
 
 // WithChecked enables the checked (generation-validated, poisoned) arena.
@@ -55,9 +54,6 @@ func WithChecked(on bool) Option { return func(c *config) { c.checked = on } }
 // WithMaxThreads sets the domain's initial session capacity (default 64);
 // the registry grows past it on demand.
 func WithMaxThreads(n int) Option { return func(c *config) { c.threads = n } }
-
-// WithInstrument attaches reader-side op counting to the domain.
-func WithInstrument(ins *smr.Instrument) Option { return func(c *config) { c.ins = ins } }
 
 // DomainFactory mirrors list.DomainFactory.
 type DomainFactory = smr.Factory
@@ -72,7 +68,7 @@ func New(mk DomainFactory, opts ...Option) *Queue {
 	if c.checked {
 		arenaOpts = append(arenaOpts, smr.Checked[Node](true), smr.WithPoison(PoisonNode))
 	}
-	d := smr.NewWith[Node](mk, smr.Config{MaxThreads: c.threads, Slots: Slots, Instrument: c.ins}, arenaOpts...)
+	d := smr.NewWith[Node](mk, smr.Config{MaxThreads: c.threads, Slots: Slots}, arenaOpts...)
 	q := &Queue{d: d}
 	g := d.Acquire()
 	dummy, _ := d.Alloc(g)

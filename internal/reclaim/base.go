@@ -69,7 +69,6 @@ type Base struct {
 
 	Alloc Allocator
 	Cfg   Config
-	Ins   *Instrument
 
 	sharded shardedAllocator // Alloc, when it supports FreeAt (else nil)
 
@@ -147,20 +146,20 @@ type Base struct {
 	poolHits   atomic.Int64
 	poolMisses atomic.Int64
 
-	// obsDom, when non-nil, is the attached observability domain (same
-	// nil-gated discipline as Ins/freeGuard: attach at construction time,
-	// before any session registers, and the hot paths pay one untaken
-	// branch when it is nil). obsEraClock/obsEraDecode are the scheme's
-	// era view, installed by SetObsEraView for schemes that have a global
-	// clock; EnableObs turns them into the domain's era-lag gauges.
+	// obsDom, when non-nil, is the attached observability domain. Like
+	// Cfg.Instrument it is attached at construction time, before any session
+	// registers, and makeHandle folds both into each session's probe.
+	// obsEraClock/obsEraDecode are the scheme's era view, installed by
+	// SetObsEraView for schemes that have a global clock; EnableObs turns
+	// them into the domain's era-lag gauges.
 	obsDom       *obs.Domain
 	obsEraClock  func() uint64
 	obsEraDecode func(words []atomicx.PaddedUint64) (era uint64, ok bool)
 
 	// tracer is the per-ref lifecycle tracer cached off obsDom (nil unless
-	// the obs domain was built with Trace.Enabled). Every lifecycle hook —
-	// publish, retire, handoff, skip, free — is one untaken branch when nil,
-	// and a hash-of-ref sampling check when attached.
+	// the obs domain was built with Trace.Enabled) for the hooks that run
+	// without a session: TraceAlloc and the quiescent freeAt. Session hooks
+	// reach the same tracer through their probe.
 	tracer *obs.Tracer
 
 	// off, when non-nil, is the background reclamation pipeline
@@ -199,8 +198,8 @@ func Observe(d Domain, hub *obs.Hub, name string, oc obs.Config) {
 
 // EnableObs attaches an observability domain: statistics, era-lag gauges
 // and per-object byte accounting flow out through d, and every session
-// registered from now on caches d's flight-recorder ring and latency
-// stripes (nil-gated on the hot paths). Call at construction time, before
+// registered from now on carries a probe holding d's flight-recorder ring,
+// latency stripes and tracer. Call at construction time, before
 // the first Register/Acquire — handles made earlier stay uninstrumented.
 // The method is promoted through embedding, so any scheme satisfies
 // interface{ EnableObs(*obs.Domain) }.
@@ -292,9 +291,6 @@ func (b *Base) EnableObs(d *obs.Domain) {
 	}
 }
 
-// Obs returns the attached observability domain, or nil.
-func (b *Base) Obs() *obs.Domain { return b.obsDom }
-
 // TraceAlloc records the publish event of a sampled ref's lifecycle span:
 // schemes call it from OnAlloc (the moment the object becomes shared),
 // passing the birth era they stamped — zero for schemes without a clock.
@@ -356,7 +352,6 @@ func NewBase(alloc Allocator, cfg Config, wordsPerSlot int, initWord uint64) (b 
 	b = Base{
 		Alloc:        alloc,
 		Cfg:          cfg,
-		Ins:          cfg.Instrument,
 		sharded:      sharded,
 		head:         first,
 		tail:         first,
@@ -427,9 +422,7 @@ func (b *Base) Register() *Handle {
 	b.active.Add(1)
 	b.mu.Unlock()
 	h := b.makeHandle(s)
-	if h.obsRing != nil {
-		h.obsRing.Record(obs.EvRegister, s.id, uint64(s.id))
-	}
+	h.probe.event(obs.EvRegister)
 	return h
 }
 
@@ -447,7 +440,7 @@ func (b *Base) makeHandle(s *Slot) *Handle {
 		scanStripe: b.scans.Stripe(s.id),
 	}
 	// Byte stripes stay nil for uniform-footprint allocators — the hot paths
-	// nil-check and skip (same gating pattern as obsRing).
+	// nil-check and skip (same gating pattern as the probe).
 	if b.retiredBytes != nil {
 		h.retBytesStripe = b.retiredBytes.Stripe(s.id)
 		h.freeBytesStripe = b.freedBytes.Stripe(s.id)
@@ -455,20 +448,7 @@ func (b *Base) makeHandle(s *Slot) *Handle {
 	if b.Cfg.Slots > 0 {
 		h.Held = make([]uint64, b.Cfg.Slots)
 	}
-	if b.Ins != nil {
-		h.insLoads = b.Ins.loads.Stripe(s.id)
-		h.insStores = b.Ins.stores.Stripe(s.id)
-		h.insRMWs = b.Ins.rmws.Stripe(s.id)
-		h.insVisits = b.Ins.visits.Stripe(s.id)
-	}
-	if d := b.obsDom; d != nil {
-		h.obsRing = d.Ring(s.id)
-		h.obsProt = d.ProtectStripe(s.id)
-		h.obsRet = d.RetireStripe(s.id)
-		h.obsScan = d.ScanStripe(s.id)
-		h.obsMask = d.SampleMask()
-		h.obsTrace = b.tracer
-	}
+	h.probe = newProbe(s.id, b.Cfg.Instrument, b.obsDom)
 	return h
 }
 
@@ -482,9 +462,7 @@ func (b *Base) Acquire() *Handle {
 		b.active.Add(1)
 		b.mu.Unlock()
 		b.poolHits.Add(1)
-		if h.obsRing != nil {
-			h.obsRing.Record(obs.EvAcquire, h.slot.id, uint64(h.slot.id))
-		}
+		h.probe.event(obs.EvAcquire)
 		return h
 	}
 	b.mu.Unlock()
@@ -509,9 +487,7 @@ func (b *Base) Release(h *Handle) {
 	}
 	h.Lo, h.Hi = 0, 0
 	h.RetireCount = 0
-	if h.obsRing != nil {
-		h.obsRing.Record(obs.EvRelease, h.slot.id, uint64(h.slot.id))
-	}
+	h.probe.event(obs.EvRelease)
 	b.mu.Lock()
 	b.pool = append(b.pool, h)
 	b.active.Add(-1)
@@ -527,9 +503,7 @@ func (b *Base) Unregister(h *Handle) {
 	for w := range s.words {
 		s.words[w].Store(b.initWord)
 	}
-	if h.obsRing != nil {
-		h.obsRing.Record(obs.EvUnregister, s.id, uint64(s.id))
-	}
+	h.probe.event(obs.EvUnregister)
 	b.mu.Lock()
 	b.freeSlots = append(b.freeSlots, s)
 	b.active.Add(-1)

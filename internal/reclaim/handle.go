@@ -96,7 +96,7 @@ func (b *SlotBlock) Next() *SlotBlock { return b.next.Load() }
 
 // Handle is a registered SMR session. It owns a Slot and caches direct
 // pointers to everything the per-operation hot paths touch — the published
-// cells, the retired list, and the statistics/instrumentation stripes — so
+// cells, the retired list, the statistics stripes and the probe — so
 // Protect/Retire/BeginOp perform no registry indexing of any kind.
 //
 // The exported scratch fields (Held, Lo, Hi, RetireCount) are owner-only
@@ -130,27 +130,11 @@ type Handle struct {
 	retBytesStripe  *atomicx.PaddedInt64
 	freeBytesStripe *atomicx.PaddedInt64
 
-	insLoads  *atomicx.PaddedInt64 // nil when instrumentation is off
-	insStores *atomicx.PaddedInt64
-	insRMWs   *atomicx.PaddedInt64
-	insVisits *atomicx.PaddedInt64
-
-	// Observability caches; all nil when the domain has no obs attached, so
-	// the hot paths pay one untaken branch. The tick counters and scan
-	// scratch are owner-only plain fields (a Handle has one owner session).
-	obsRing  *obs.Ring          // flight-recorder stripe
-	obsProt  *obs.LatencyStripe // protect-latency histogram stripe
-	obsRet   *obs.LatencyStripe // retire-latency histogram stripe
-	obsScan  *obs.LatencyStripe // scan-latency histogram stripe
-	obsMask  uint64             // sample when tick&mask == 0
-	obsTrace *obs.Tracer        // per-ref lifecycle tracer (nil unless enabled)
-
-	obsTickProt  uint64 // Protect-bracket sampling tick
-	obsTickRet   uint64 // Retire-bracket sampling tick
-	obsTickPush  uint64 // PushRetired EvRetire sampling tick
-	obsTickEra   uint64 // ObsEra EvEra sampling tick
-	obsScanT0    int64  // scan start timestamp (NoteScan..NoteScanEnd)
-	obsScanFreed int64  // freeStripe reading at scan start
+	// probe carries every per-session hook (Table-1 counters, flight
+	// recorder, latency histograms, lifecycle tracer); nil when the domain
+	// has neither an Instrument nor an obs domain attached, so each hook
+	// pays one untaken branch.
+	probe *probe
 
 	// Wrapper is owner-only storage for a layer wrapping this handle (the
 	// public smr package parks its Guard here). Because Release keeps the
@@ -173,38 +157,33 @@ func (h *Handle) BeginOp() { h.dom.BeginOp(h) }
 func (h *Handle) EndOp() { h.dom.EndOp(h) }
 
 // Protect loads *src under protection index i (the paper's
-// get_protected(tid, i, src) with the tid folded into the session). With
-// observability attached, one bracket in every 2^SampleShift is timed into
-// the protect-latency histogram; with it off, the wrapper is the same
-// interface dispatch it always was behind one untaken nil check.
+// get_protected(tid, i, src) with the tid folded into the session). It has
+// two paths: without a probe it is the plain interface dispatch behind one
+// untaken nil check; with one, protectProbed adds the sampled latency
+// bracket and the lifecycle protect event.
 func (h *Handle) Protect(index int, src *atomic.Uint64) mem.Ref {
-	if h.obsProt != nil {
-		h.obsTickProt++
-		if h.obsTickProt&h.obsMask == 0 {
-			t0 := obs.Now()
-			ref := h.dom.Protect(h, index, src)
-			h.obsProt.Record(obs.Now() - t0)
-			h.traceProtect(ref)
-			return ref
-		}
-	}
-	if h.obsTrace != nil {
-		ref := h.dom.Protect(h, index, src)
-		h.traceProtect(ref)
-		return ref
+	if p := h.probe; p != nil {
+		return h.protectProbed(p, index, src)
 	}
 	return h.dom.Protect(h, index, src)
 }
 
-// traceProtect lands a protect event on a sampled ref's lifecycle span.
-func (h *Handle) traceProtect(ref mem.Ref) {
-	tr := h.obsTrace
-	if tr == nil || ref.IsNil() {
-		return
+// protectProbed is Protect with a probe attached: one bracket in every
+// 2^SampleShift is timed into the protect-latency histogram.
+func (h *Handle) protectProbed(p *probe, index int, src *atomic.Uint64) mem.Ref {
+	if p.prot != nil {
+		p.tickProt++
+		if p.tickProt&p.mask == 0 {
+			t0 := obs.Now()
+			ref := h.dom.Protect(h, index, src)
+			p.prot.Record(obs.Now() - t0)
+			p.traceProtect(ref)
+			return ref
+		}
 	}
-	if r := uint64(ref.Unmarked()); tr.Sampled(r) {
-		tr.Event(r, obs.SpanProtect, h.slot.id, 0)
-	}
+	ref := h.dom.Protect(h, index, src)
+	p.traceProtect(ref)
+	return ref
 }
 
 // Retire declares ref unlinked and due for eventual reclamation. Sampled
@@ -212,12 +191,12 @@ func (h *Handle) traceProtect(ref mem.Ref) {
 // into the retire-latency histogram, which is what makes the amortization
 // tail (one in threshold retires pays the scan) visible.
 func (h *Handle) Retire(ref mem.Ref) {
-	if h.obsRet != nil {
-		h.obsTickRet++
-		if h.obsTickRet&h.obsMask == 0 {
+	if p := h.probe; p != nil && p.ret != nil {
+		p.tickRet++
+		if p.tickRet&p.mask == 0 {
 			t0 := obs.Now()
 			h.dom.Retire(h, ref)
-			h.obsRet.Record(obs.Now() - t0)
+			p.ret.Record(obs.Now() - t0)
 			return
 		}
 	}
@@ -234,11 +213,9 @@ func (h *Handle) Unregister() { h.dom.Unregister(h) }
 
 // PushRetired appends ref to the session's retired list and bumps its
 // retire stripe. The high-water fold happens at scan/stats time, keeping
-// this hot path free of shared cache lines. With observability attached,
-// one push in every 2^SampleShift lands an EvRetire flight-recorder event
-// carrying the retired-list depth — sampled here (on its own tick, since
-// schemes reach this through d.Retire as well as h.Retire) so the recorder
-// rides every retire path without unsampled ring traffic on it.
+// this hot path free of shared cache lines. A probe records the sampled
+// EvRetire event (carrying the retired-list depth) and the retire span
+// event here, so they ride every retire path.
 func (h *Handle) PushRetired(ref mem.Ref) {
 	schedtest.Point(schedtest.PointRetire)
 	rl := &h.slot.rl.retiredListState
@@ -247,16 +224,8 @@ func (h *Handle) PushRetired(ref mem.Ref) {
 	if h.retBytesStripe != nil {
 		h.retBytesStripe.Add(h.base.refBytes(ref))
 	}
-	if h.obsRing != nil {
-		h.obsTickPush++
-		if h.obsTickPush&h.obsMask == 0 {
-			h.obsRing.Record(obs.EvRetire, h.slot.id, uint64(len(rl.refs)))
-		}
-	}
-	if tr := h.obsTrace; tr != nil {
-		if r := uint64(ref.Unmarked()); tr.Sampled(r) {
-			tr.Retire(r, h.base.Alloc.Header(ref).RetireEra, h.slot.id)
-		}
+	if p := h.probe; p != nil {
+		p.retired(h.base, ref, len(rl.refs))
 	}
 }
 
@@ -271,16 +240,8 @@ func (h *Handle) NoteRetired(ref mem.Ref) {
 		h.retBytesStripe.Add(h.base.refBytes(ref))
 	}
 	h.base.observePeak()
-	if h.obsRing != nil {
-		h.obsTickPush++
-		if h.obsTickPush&h.obsMask == 0 {
-			h.obsRing.Record(obs.EvRetire, h.slot.id, 0)
-		}
-	}
-	if tr := h.obsTrace; tr != nil {
-		if r := uint64(ref.Unmarked()); tr.Sampled(r) {
-			tr.Retire(r, h.base.Alloc.Header(ref).RetireEra, h.slot.id)
-		}
+	if p := h.probe; p != nil {
+		p.retired(h.base, ref, 0)
 	}
 }
 
@@ -322,13 +283,8 @@ func (h *Handle) FreeRetired(ref mem.Ref) {
 	if h.freeBytesStripe != nil {
 		h.freeBytesStripe.Add(b.refBytes(ref))
 	}
-	if h.obsRing != nil {
-		h.obsRing.Record(obs.EvFree, h.slot.id, 1)
-	}
-	if tr := h.obsTrace; tr != nil {
-		if r := uint64(ref.Unmarked()); tr.Sampled(r) {
-			tr.Free(r, h.slot.id)
-		}
+	if p := h.probe; p != nil {
+		p.freed([]mem.Ref{ref})
 	}
 }
 
@@ -343,7 +299,10 @@ func (h *Handle) ReclaimUnprotected(protected func(ref mem.Ref) bool) {
 	st := &h.slot.rl.retiredListState
 	keep := st.refs[:0]
 	toFree := st.spare[:0]
-	tr := h.obsTrace
+	var tr *obs.Tracer
+	if p := h.probe; p != nil {
+		tr = p.trace
+	}
 	for _, obj := range st.refs {
 		if protected(obj) {
 			keep = append(keep, obj)
@@ -384,17 +343,8 @@ func (h *Handle) ReclaimUnprotected(protected func(ref mem.Ref) bool) {
 		}
 		h.freeBytesStripe.Add(freedBytes)
 	}
-	if h.obsRing != nil {
-		// One event for the whole batch: scans are where frees cluster, and
-		// the batch size is the interesting number.
-		h.obsRing.Record(obs.EvFree, h.slot.id, uint64(len(toFree)))
-	}
-	if tr != nil {
-		for _, obj := range toFree {
-			if r := uint64(obj); tr.Sampled(r) {
-				tr.Free(r, h.slot.id)
-			}
-		}
+	if p := h.probe; p != nil {
+		p.freed(toFree)
 	}
 	st.spare = toFree[:0]
 }
@@ -403,48 +353,53 @@ func (h *Handle) ReclaimUnprotected(protected func(ref mem.Ref) bool) {
 // schemes and the offload pipeline call it when a retired ref changes hands
 // (a Hyaline batch distribution, an offload enqueue). value carries the
 // destination: a worker index or a receiving-session count. One untaken
-// branch when tracing is off.
+// branch when the session has no probe.
 func (h *Handle) TraceHandoff(ref mem.Ref, value uint64) {
-	tr := h.obsTrace
-	if tr == nil {
-		return
+	if p := h.probe; p != nil && p.trace != nil {
+		if r := uint64(ref.Unmarked()); p.trace.Sampled(r) {
+			p.trace.Event(r, obs.SpanHandoff, p.id, value)
+		}
 	}
-	if r := uint64(ref.Unmarked()); tr.Sampled(r) {
-		tr.Event(r, obs.SpanHandoff, h.slot.id, value)
+}
+
+// ObsNow returns obs.Now() when an obs domain watches this session and 0
+// otherwise: the timestamp for obs-only gauges (Hyaline's batch age, the
+// offload latency histogram), so an unwatched session never reads the clock.
+func (h *Handle) ObsNow() int64 {
+	if p := h.probe; p != nil && p.ring != nil {
+		return obs.Now()
 	}
+	return 0
 }
 
 // NoteScan records one reclamation pass over a retired list and folds the
 // striped counters into the pending high-water mark. Scans sample the peak
 // immediately after the pushes that triggered them, preserving the
 // PeakPending semantics the scan-per-retire implementation had. With
-// observability attached it also opens the scan bracket: timestamp and
-// freed-stripe baseline for NoteScanEnd, plus an EvScanStart event carrying
+// observability attached it also opens the scan bracket: timestamp and a
+// zeroed free count for NoteScanEnd, plus an EvScanStart event carrying
 // the candidate count. Scans are amortized-rare, so these are unsampled.
 func (h *Handle) NoteScan() {
 	h.scanStripe.Add(1)
 	h.base.observePeak()
-	if h.obsRing != nil {
-		h.obsScanT0 = obs.Now()
-		h.obsScanFreed = h.freeStripe.Load()
-		h.obsRing.Record(obs.EvScanStart, h.slot.id, uint64(len(h.slot.rl.refs)))
+	if p := h.probe; p != nil && p.ring != nil {
+		p.scanT0 = obs.Now()
+		p.scanFreed = 0
+		p.ring.Record(obs.EvScanStart, p.id, uint64(len(h.slot.rl.refs)))
 	}
 }
 
 // NoteScanEnd closes the bracket NoteScan opened: the elapsed time goes to
 // the scan-latency histogram and an EvScanEnd event carries the number of
-// nodes this session freed during the pass. Schemes call it at every exit
-// of their scan routine; it is a single untaken branch when obs is off.
+// nodes this session freed during the pass — counted by the probe itself,
+// so sessions sharing a freed stripe never leak into each other's count.
+// Schemes call it at every exit of their scan routine; it is a single
+// untaken branch when the session has no probe.
 func (h *Handle) NoteScanEnd() {
-	if h.obsRing == nil {
-		return
+	if p := h.probe; p != nil && p.ring != nil {
+		p.scan.Record(obs.Now() - p.scanT0)
+		p.ring.Record(obs.EvScanEnd, p.id, uint64(p.scanFreed))
 	}
-	h.obsScan.Record(obs.Now() - h.obsScanT0)
-	freed := h.freeStripe.Load() - h.obsScanFreed
-	if freed < 0 {
-		freed = 0
-	}
-	h.obsRing.Record(obs.EvScanEnd, h.slot.id, uint64(freed))
 }
 
 // Abandon moves the session's remaining retired objects to the shared
@@ -470,7 +425,7 @@ func (h *Handle) AdoptOrphans() {
 	h.slot.rl.refs = append(h.slot.rl.refs, adopted...)
 }
 
-// ---- instrumentation (cached stripes; nil-guarded, branch-only when off) -
+// ---- probe hooks (one untaken branch each when the session has no probe) -
 
 // ObsEra records an EvEra flight-recorder event when this session advances
 // the scheme's global era/epoch/version clock. HE and IBR advance the clock
@@ -479,38 +434,38 @@ func (h *Handle) AdoptOrphans() {
 // nothing — the progression is reconstructible); when obs is off this is
 // one untaken branch.
 func (h *Handle) ObsEra(clock uint64) {
-	if h.obsRing != nil {
-		h.obsTickEra++
-		if h.obsTickEra&h.obsMask == 0 {
-			h.obsRing.Record(obs.EvEra, h.slot.id, clock)
+	if p := h.probe; p != nil && p.ring != nil {
+		p.tickEra++
+		if p.tickEra&p.mask == 0 {
+			p.ring.Record(obs.EvEra, p.id, clock)
 		}
 	}
 }
 
 // InsVisit records one Protect call (one node visited) by this session.
 func (h *Handle) InsVisit() {
-	if h.insVisits != nil {
-		h.insVisits.Add(1)
+	if p := h.probe; p != nil && p.visits != nil {
+		p.visits.Add(1)
 	}
 }
 
 // InsLoad records one seq-cst atomic load issued by this session.
 func (h *Handle) InsLoad() {
-	if h.insLoads != nil {
-		h.insLoads.Add(1)
+	if p := h.probe; p != nil && p.loads != nil {
+		p.loads.Add(1)
 	}
 }
 
 // InsStore records one seq-cst atomic store issued by this session.
 func (h *Handle) InsStore() {
-	if h.insStores != nil {
-		h.insStores.Add(1)
+	if p := h.probe; p != nil && p.stores != nil {
+		p.stores.Add(1)
 	}
 }
 
 // InsRMW records one atomic read-modify-write issued by this session.
 func (h *Handle) InsRMW() {
-	if h.insRMWs != nil {
-		h.insRMWs.Add(1)
+	if p := h.probe; p != nil && p.rmws != nil {
+		p.rmws.Add(1)
 	}
 }

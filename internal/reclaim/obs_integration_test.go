@@ -187,3 +187,150 @@ func TestObsChurnRace(t *testing.T) {
 		t.Fatalf("after drain: retired=%d freed=%d", s.Retired, s.Freed)
 	}
 }
+
+// TestObsScanEndCountsOwnFrees is the regression test for EvScanEnd
+// over-counting after registry growth: sessions past MaxThreads share the
+// freed stripes, so measuring a scan's frees as a stripe delta charged
+// another session's frees to it. The count now comes from the session's
+// own probe.
+func TestObsScanEndCountsOwnFrees(t *testing.T) {
+	arena := mem.NewArena[bnode]()
+	d := core.New(arena, reclaim.Config{MaxThreads: 1, Slots: 2})
+	od := obs.NewDomain("HE", obs.Config{SampleAll: true})
+	d.EnableObs(od)
+	a := d.Register()
+	b := d.Register() // grows the registry; shares a's freed stripe
+
+	a.NoteScan()
+	for i := 0; i < 5; i++ {
+		ref, _ := arena.AllocAt(b.ID())
+		d.OnAlloc(ref)
+		b.FreeRetired(ref)
+	}
+	a.NoteScanEnd()
+
+	var ends []uint64
+	for _, e := range od.Events(0) {
+		if e.Kind == obs.EvScanEnd && e.Session == a.ID() {
+			ends = append(ends, e.Value)
+		}
+	}
+	if len(ends) != 1 || ends[0] != 0 {
+		t.Fatalf("session %d scan_end values = %v, want [0]", a.ID(), ends)
+	}
+	d.Unregister(a)
+	d.Unregister(b)
+}
+
+// TestObsProbeWiring drives one Protect/Retire/scan sequence on an HE
+// domain under every combination of attached watchers. Counters and obs
+// share one per-session probe, so each attached family must see exactly
+// its own signals and an unattached one nothing at all.
+func TestObsProbeWiring(t *testing.T) {
+	const protects, retires = 10, 8
+	for _, tc := range []struct {
+		name              string
+		ins, watch, trace bool
+	}{
+		{"none", false, false, false},
+		{"instrument", true, false, false},
+		{"obs", false, true, false},
+		{"obs+trace", false, true, true},
+		{"instrument+obs+trace", true, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ins := reclaim.NewInstrument(4)
+			cfg := reclaim.Config{MaxThreads: 4, Slots: 2}
+			if tc.ins {
+				cfg.Instrument = ins
+			}
+			arena := mem.NewArena[bnode]()
+			d := core.New(arena, cfg)
+			od := obs.NewDomain("HE", obs.Config{
+				Sessions: 4, RingEvents: 1024, SampleAll: true,
+				Trace: obs.TraceConfig{Enabled: tc.trace, SampleAll: true},
+			})
+			if tc.watch {
+				d.EnableObs(od)
+			}
+
+			h := d.Acquire()
+			refs := make([]mem.Ref, retires)
+			for i := range refs {
+				refs[i], _ = arena.AllocAt(h.ID())
+				d.OnAlloc(refs[i])
+			}
+			var cell atomic.Uint64
+			cell.Store(uint64(refs[0]))
+			h.BeginOp()
+			for i := 0; i < protects; i++ {
+				if got := h.Protect(0, &cell); got != refs[0] {
+					t.Fatalf("Protect = %v, want %v", got, refs[0])
+				}
+			}
+			h.EndOp()
+			for _, ref := range refs {
+				h.Retire(ref)
+			}
+			d.Release(h)
+			d.Drain()
+
+			// HE's first Protect publishes the era (two extra loads and one
+			// store); every later one is the two-load fast path.
+			want := reclaim.Snapshot{Visits: protects, Loads: 2*protects + 2, Stores: 1}
+			if !tc.ins {
+				want = reclaim.Snapshot{}
+			}
+			if got := ins.Snapshot(); got != want {
+				t.Errorf("instrument = %+v, want %+v", got, want)
+			}
+
+			kinds := map[obs.Kind]int{}
+			for _, e := range od.Events(0) {
+				kinds[e.Kind]++
+			}
+			s := od.Snapshot()
+			if !tc.watch {
+				if len(kinds) != 0 || s.Protect.Count+s.Retire.Count+s.Scan.Count != 0 {
+					t.Errorf("unattached obs recorded events %v, latency counts %d/%d/%d",
+						kinds, s.Protect.Count, s.Retire.Count, s.Scan.Count)
+				}
+				return
+			}
+			for _, k := range []obs.Kind{obs.EvRegister, obs.EvRelease, obs.EvRetire, obs.EvScanStart, obs.EvScanEnd, obs.EvFree, obs.EvEra} {
+				if kinds[k] == 0 {
+					t.Errorf("no %v event recorded; kinds=%v", k, kinds)
+				}
+			}
+			if s.Protect.Count != protects || s.Retire.Count != retires || s.Scan.Count == 0 {
+				t.Errorf("latency counts protect/retire/scan = %d/%d/%d, want %d/%d/>0",
+					s.Protect.Count, s.Retire.Count, s.Scan.Count, protects, retires)
+			}
+
+			tr := od.Tracer()
+			if !tc.trace {
+				if tr != nil {
+					t.Fatal("tracer built without Trace.Enabled")
+				}
+				return
+			}
+			spans := tr.DrainDone()
+			if len(spans) != retires {
+				t.Fatalf("completed spans = %d, want %d", len(spans), retires)
+			}
+			for _, sp := range spans {
+				seen := map[obs.SpanKind]int{}
+				for _, e := range sp.Events {
+					seen[e.Kind]++
+				}
+				wantProtects := 0
+				if sp.Ref == uint64(refs[0]) {
+					wantProtects = protects
+				}
+				if seen[obs.SpanProtect] != wantProtects || seen[obs.SpanRetire] != 1 || seen[obs.SpanFree] != 1 {
+					t.Errorf("ref %#x span events %v, want %d protect, 1 retire, 1 free", sp.Ref, seen, wantProtects)
+				}
+			}
+		})
+	}
+}

@@ -252,16 +252,12 @@ func (o *offloader) tryOffload(h *Handle) bool {
 	}
 	o.queuedRefs.Add(int64(len(refs)))
 	o.queuedBytes.Add(batchBytes)
-	var t0 int64
-	if h.base.obsDom != nil {
-		t0 = obs.Now() // only the offload-latency histogram reads it
-	}
+	t0 := h.ObsNow() // only the offload-latency histogram reads it
 	// Session affinity: one session's handoffs always land on the same
 	// worker, so a burst batches into a single detach and the selection
 	// costs no shared atomic.
 	i := h.slot.id % o.workers
 	q := &o.queues[i]
-	tr := h.obsTrace
 	for len(refs) > 0 {
 		seg := o.getSegment()
 		n := copy(seg.refs[:], refs)
@@ -269,11 +265,7 @@ func (o *offloader) tryOffload(h *Handle) bool {
 		seg.bytes = 0
 		for _, ref := range seg.refs[:n] {
 			seg.bytes += o.classBytes[ref.Class()&(mem.NumClasses-1)]
-			if tr != nil {
-				if r := uint64(ref); tr.Sampled(r) {
-					tr.Event(r, obs.SpanHandoff, h.slot.id, uint64(i))
-				}
-			}
+			h.TraceHandoff(ref, uint64(i))
 		}
 		seg.t0 = t0
 		refs = refs[n:]
@@ -356,10 +348,6 @@ func (o *offloader) run(b *Base, sc Scanner, i int) {
 	defer schedtest.EndBystander()
 	h := b.Register()
 	defer b.Dom.Unregister(h)
-	var lat *obs.LatencyStripe
-	if d := b.obsDom; d != nil {
-		lat = d.OffloadStripe(h.ID())
-	}
 	q := &o.queues[i]
 	// Adaptive spin: after each batch the worker polls its queue for a short
 	// window before parking on the notify channel. Waking a parked goroutine
@@ -384,13 +372,13 @@ func (o *offloader) run(b *Base, sc Scanner, i int) {
 		deadline := obs.Now() + spin
 		for {
 			if q.head.Load() != nil {
-				o.drainQueue(h, sc, q, lat)
+				o.drainQueue(h, sc, q)
 				lastWork = obs.Now()
 				deadline = lastWork + offSpinNs
 				continue
 			}
 			if o.stopped.Load() {
-				o.drainQueue(h, sc, q, lat)
+				o.drainQueue(h, sc, q)
 				return
 			}
 			if obs.Now() >= deadline {
@@ -402,11 +390,11 @@ func (o *offloader) run(b *Base, sc Scanner, i int) {
 		select {
 		case <-o.notify[i]:
 			o.parked.Add(-1)
-			o.drainQueue(h, sc, q, lat)
+			o.drainQueue(h, sc, q)
 			lastWork = obs.Now()
 		case <-o.stop:
 			o.parked.Add(-1)
-			o.drainQueue(h, sc, q, lat)
+			o.drainQueue(h, sc, q)
 			return
 		}
 	}
@@ -414,7 +402,7 @@ func (o *offloader) run(b *Base, sc Scanner, i int) {
 
 // drainQueue detaches everything queued for this worker, merges it into the
 // worker session's retired list, and runs one scan pass over the union.
-func (o *offloader) drainQueue(h *Handle, sc Scanner, q *offStack, lat *obs.LatencyStripe) {
+func (o *offloader) drainQueue(h *Handle, sc Scanner, q *offStack) {
 	seg := q.detach()
 	if seg == nil {
 		return
@@ -439,11 +427,11 @@ func (o *offloader) drainQueue(h *Handle, sc Scanner, q *offStack, lat *obs.Late
 	sc.Scan(h)
 	o.queuedRefs.Add(int64(-total))
 	o.queuedBytes.Add(-totalBytes)
-	if lat != nil && oldest > 0 {
+	if p := h.probe; p != nil && p.off != nil && oldest > 0 {
 		// Handoff-to-reclaimed latency of the oldest segment in the batch —
 		// the figure backpressure tuning cares about. (oldest is 0 when the
 		// batch was handed off before obs was attached.)
-		lat.Record(obs.Now() - oldest)
+		p.off.Record(obs.Now() - oldest)
 	}
 }
 

@@ -267,22 +267,24 @@ func TestNoteRetired(t *testing.T) {
 
 func TestInstrumentNilSafe(t *testing.T) {
 	var in *Instrument
-	in.Load(0)
-	in.Store(0)
-	in.RMW(0)
-	in.Visit(0)
+	in.Reset()
 	if s := in.Snapshot(); s != (Snapshot{}) {
 		t.Fatalf("nil instrument snapshot: %+v", s)
 	}
 }
 
+// TestInstrumentPerVisitMath counts through registered sessions' probes —
+// the only way schemes reach the counters — and checks the fold and the
+// per-visit ratios Table 1 reports.
 func TestInstrumentPerVisitMath(t *testing.T) {
 	in := NewInstrument(2)
+	b := newTestBase(testArena(), Config{MaxThreads: 2, Instrument: in})
+	h0, h1 := b.Register(), b.Register()
 	for i := 0; i < 10; i++ {
-		in.Visit(0)
-		in.Load(0)
-		in.Load(0)
-		in.Store(1)
+		h0.InsVisit()
+		h0.InsLoad()
+		h0.InsLoad()
+		h1.InsStore()
 	}
 	s := in.Snapshot()
 	if s.Visits != 10 || s.Loads != 20 || s.Stores != 10 || s.RMWs != 0 {

@@ -87,7 +87,6 @@ type config struct {
 	checked  bool
 	threads  int
 	seed     uint64
-	ins      *reclaim.Instrument
 	byteVals bool
 	valSizer func(key uint64) int
 }
@@ -101,9 +100,6 @@ func WithMaxThreads(n int) Option { return func(c *config) { c.threads = n } }
 
 // WithSeed seeds the tower-height generator (default 1).
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
-
-// WithInstrument attaches reader-side op counting to the domain.
-func WithInstrument(ins *reclaim.Instrument) Option { return func(c *config) { c.ins = ins } }
 
 // WithByteValues stores values as variable-size payload blocks in the
 // arena's size-class space (see list.WithByteValues); sizer maps a key to
@@ -126,7 +122,7 @@ func New(mk DomainFactory, opts ...Option) *SkipList {
 		arenaOpts = append(arenaOpts, mem.WithByteClasses[Node]())
 	}
 	arena := mem.NewArena[Node](arenaOpts...)
-	dom := mk(arena, reclaim.Config{MaxThreads: c.threads, Slots: Slots, Instrument: c.ins})
+	dom := mk(arena, reclaim.Config{MaxThreads: c.threads, Slots: Slots})
 	return &SkipList{arena: arena, dom: dom, rng: c.seed | 1, byteVals: c.byteVals, valSizer: c.valSizer}
 }
 

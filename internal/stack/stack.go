@@ -48,7 +48,6 @@ type Option func(*config)
 type config struct {
 	checked bool
 	threads int
-	ins     *reclaim.Instrument
 }
 
 // WithChecked enables the checked (generation-validated, poisoned) arena.
@@ -57,9 +56,6 @@ func WithChecked(on bool) Option { return func(c *config) { c.checked = on } }
 // WithMaxThreads sets the domain's initial session capacity (default 64);
 // the registry grows past it on demand.
 func WithMaxThreads(n int) Option { return func(c *config) { c.threads = n } }
-
-// WithInstrument attaches reader-side op counting to the domain.
-func WithInstrument(ins *reclaim.Instrument) Option { return func(c *config) { c.ins = ins } }
 
 // DomainFactory mirrors list.DomainFactory.
 type DomainFactory = smr.Factory
@@ -75,7 +71,7 @@ func New(mk DomainFactory, opts ...Option) *Stack {
 		arenaOpts = append(arenaOpts, mem.Checked[Node](true), mem.WithPoison[Node](PoisonNode))
 	}
 	arena := mem.NewArena[Node](arenaOpts...)
-	dom := mk(arena, reclaim.Config{MaxThreads: c.threads, Slots: Slots, Instrument: c.ins})
+	dom := mk(arena, reclaim.Config{MaxThreads: c.threads, Slots: Slots})
 	return &Stack{arena: arena, dom: dom}
 }
 

@@ -1,10 +1,44 @@
 #!/usr/bin/env bash
 # Full validation suite for the hazard-eras reproduction.
 # Usage: scripts/check.sh [quick|full|api|schemes|health]
+#        scripts/check.sh perf [base-ref] [pairs]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mode="${1:-quick}"
+
+if [ "$mode" = "perf" ]; then
+  # End-to-end regression gate against an earlier commit: the benchmark
+  # BENCHMARK.json declares (cmd/heperf/run.sh) runs on base-ref's committed
+  # tree and on this checkout, alternating which goes first in each pair,
+  # then heperf compare judges every end-to-end metric under its bound and
+  # this mode exits non-zero on any "worse" row. One pair takes about four
+  # minutes, so CI does not run it.
+  base_ref="${2:-HEAD~1}"
+  pairs="${3:-10}"
+  pdir="$PWD/.bench_build/perf"
+  rm -rf "$pdir"
+  mkdir -p "$pdir/tree" "$pdir/base" "$pdir/change"
+  # The committed files of base-ref, as a plain tree: nothing to register
+  # with git, nothing to clean up if the run is interrupted.
+  git archive "$(git rev-parse --verify "$base_ref^{commit}")" | tar -x -C "$pdir/tree"
+  for i in $(seq -w 1 "$pairs"); do
+    order="base change"
+    [ $((10#$i % 2)) -eq 0 ] && order="change base"
+    for side in $order; do
+      echo "== pair $i/$pairs: $side =="
+      if [ "$side" = base ]; then
+        bash "$pdir/tree/cmd/heperf/run.sh" -seed 1 -out "$pdir/base/$i.json" > "$pdir/base/$i.log"
+      else
+        bash cmd/heperf/run.sh -seed 1 -out "$pdir/change/$i.json" > "$pdir/change/$i.log"
+      fi
+    done
+  done
+  echo "== heperf compare ($base_ref vs this checkout, $pairs pairs) =="
+  bash cmd/heperf/run.sh compare "$pdir"/base/*.json "$pdir"/change/*.json
+  echo "ALL CHECKS PASSED (perf)"
+  exit 0
+fi
 
 if [ "$mode" = "api" ]; then
   # Public-surface gate (CI job check-api): the smr package's lifecycle
