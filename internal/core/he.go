@@ -126,6 +126,9 @@ func New(alloc reclaim.Allocator, cfg reclaim.Config, opts ...Option) *Eras {
 	}
 	d.Base = reclaim.NewBase(alloc, cfg, cfg.Slots, noneEra)
 	d.Base.Dom = d
+	// Handle.Protect runs Algorithm 2 on the clock and calls publish only
+	// when the era moved.
+	d.Base.EraClock, d.Base.EraPublish = &d.eraClock, d.publish
 	d.eraClock.Store(1) // paper: eraClock = {1}
 	// Era view for the observability layer: a session's pinned era is the
 	// minimum over its published cells ([min, max] pair or per-index eras).
@@ -196,24 +199,12 @@ func (d *Eras) Clear(h *reclaim.Handle) {
 // until the eraClock is observed unchanged across the read. On the fast
 // path (era unchanged since this index's last publication) it issues two
 // seq-cst loads and no store — the mechanism behind the paper's headline
-// throughput gain over Hazard Pointers.
+// throughput gain over Hazard Pointers. The loop lives in Handle.Protect,
+// which runs it on the session without dispatching here and calls publish
+// when the era moved; this method is the same loop reached through the
+// reclaim.Domain interface.
 func (d *Eras) Protect(h *reclaim.Handle, index int, src *atomic.Uint64) mem.Ref {
-	prevEra := h.Held[index]
-	h.InsVisit()
-	for {
-		ptr := mem.Ref(src.Load())
-		h.InsLoad()
-		// The window this gate exposes: the reference is read but the era
-		// that will protect it is not yet validated/published.
-		schedtest.Point(schedtest.PointProtect)
-		era := d.eraClock.Load()
-		h.InsLoad()
-		if era == prevEra {
-			return ptr
-		}
-		d.publish(h, index, era)
-		prevEra = era
-	}
+	return h.Protect(index, src)
 }
 
 // publish records era in the session-local slot mirror and pushes the

@@ -548,3 +548,69 @@ func TestConcurrentProtectRetireStress(t *testing.T) {
 		t.Fatalf("memory faults detected: %d", f)
 	}
 }
+
+// TestHandleProtectRunsEraLoop drives Algorithm 2 through the session
+// handle, the path structures take, in both publication modes: a moved
+// clock is published before Handle.Protect returns, and a walk at a stable
+// era costs exactly the paper's two loads and no store per node.
+func TestHandleProtectRunsEraLoop(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		minMax bool
+	}{{"HE", false}, {"HE-minmax", true}} {
+		minMax := tc.minMax
+		t.Run(tc.name, func(t *testing.T) {
+			arena := testArena()
+			ins := reclaim.NewInstrument(2)
+			d := New(arena, reclaim.Config{MaxThreads: 2, Slots: 3, Instrument: ins}, WithMinMax(minMax))
+			h := d.Register()
+
+			// A chain of nodes, each cell naming the next, like a list.
+			const n = 50
+			var head atomic.Uint64
+			for i := 0; i < n; i++ {
+				ref, node := arena.Alloc()
+				node.next.Store(head.Load())
+				d.OnAlloc(ref)
+				head.Store(uint64(ref))
+			}
+			walk := func() int {
+				visits, src := 0, &head
+				for {
+					ref := h.Protect(visits%3, src)
+					if ref.IsNil() {
+						return visits
+					}
+					visits++
+					src = &arena.Get(ref).next
+				}
+			}
+
+			h.BeginOp()
+			walk() // publishes era 1 on every index
+			d.SetEraClock(7)
+			if got := h.Protect(1, &head); got != mem.Ref(head.Load()) {
+				t.Fatalf("Protect returned %v, want %v", got, mem.Ref(head.Load()))
+			}
+			if minMax {
+				if lo, hi := h.Words[0].Load(), h.Words[1].Load(); lo != 1 || hi != 7 || h.Lo != 1 || h.Hi != 7 {
+					t.Fatalf("published [%d, %d], mirror [%d, %d], want [1, 7]", lo, hi, h.Lo, h.Hi)
+				}
+			} else if got := h.Words[1].Load(); got != 7 {
+				t.Fatalf("Words[1] = %d after the clock moved to 7, want 7", got)
+			}
+			if got := h.Held[1]; got != 7 {
+				t.Fatalf("Held[1] = %d, want 7", got)
+			}
+
+			walk() // republishes era 7 where it is not yet held
+			ins.Reset()
+			visits := walk() + 1 // the nil load at the tail is a visit too
+			s := ins.Snapshot()
+			if s.Visits != int64(visits) || s.Loads != 2*s.Visits || s.Stores != 0 || s.RMWs != 0 {
+				t.Fatalf("stable-era walk of %d visits counted %+v, want 2 loads and 0 stores per visit", visits, s)
+			}
+			h.EndOp()
+		})
+	}
+}

@@ -469,9 +469,31 @@ func (a *Arena[T]) Free(ref Ref) {
 
 // Get dereferences ref to its payload. In checked mode a generation mismatch
 // (use-after-free) is a detected fault.
+//
+// An unchecked arena's dereference of a published slab is one slab load and
+// an address computation, with no call below Get. The index is decoded
+// inline rather than through Ref.Index: in instantiations compiled outside
+// this package the compiler does not always inline Ref's methods, and each
+// one it misses is a call on every traversal step. Checked arenas and
+// unallocated slabs take getSlow, which holds the fault reporting.
 func (a *Arena[T]) Get(ref Ref) *T {
+	if !a.checked {
+		index := uint64(ref >> idxShift)
+		if sl := a.slabs[index>>slabShift].Load(); sl != nil {
+			return &sl[index&slabMask].val
+		}
+	}
+	return a.getSlow(ref)
+}
+
+// getSlow is Get's checked and faulting path. A dereference into an
+// unallocated slab reports a fault and returns nil.
+func (a *Arena[T]) getSlow(ref Ref) *T {
 	ref = ref.Unmarked()
 	s := a.slotAt(ref.Index())
+	if s == nil {
+		return nil
+	}
 	if a.checked && s.hdr.Gen() != ref.Gen() {
 		a.fault(fmt.Sprintf("use-after-free dereference: %v, slot generation %d", ref, s.hdr.Gen()))
 	}

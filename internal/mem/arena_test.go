@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -238,4 +239,78 @@ func TestValidateNil(t *testing.T) {
 	if a.Validate(NilRef) {
 		t.Fatal("nil must not validate")
 	}
+}
+
+// TestGetFaultPaths covers the typed arena's dereference paths: the
+// unchecked fast path, and the out-of-line path that checked arenas and
+// unallocated slabs take, with its fault messages.
+func TestGetFaultPaths(t *testing.T) {
+	record := func(faults *[]string) Option[payload] {
+		return WithFaultHandler[payload](func(msg string) { *faults = append(*faults, msg) })
+	}
+	unallocated := MakeRef(3*slabSize+5, 0)
+	wantNilSlab := "dereference of index 24581 in unallocated slab"
+
+	t.Run("unchecked get into an unallocated slab faults", func(t *testing.T) {
+		var faults []string
+		a := NewArena[payload](record(&faults))
+		a.Alloc() // publish slab 0 only
+		if p := a.Get(unallocated); p != nil {
+			t.Fatalf("Get returned %p, want nil", p)
+		}
+		if len(faults) != 1 || faults[0] != wantNilSlab {
+			t.Fatalf("faults = %q, want [%q]", faults, wantNilSlab)
+		}
+		if n := a.Stats().Faults; n != 1 {
+			t.Fatalf("Faults = %d, want 1", n)
+		}
+	})
+
+	t.Run("checked get into an unallocated slab faults", func(t *testing.T) {
+		var faults []string
+		a := NewArena[payload](Checked[payload](true), record(&faults))
+		if p := a.Get(unallocated); p != nil {
+			t.Fatalf("Get returned %p, want nil", p)
+		}
+		if len(faults) != 1 || faults[0] != wantNilSlab {
+			t.Fatalf("faults = %q, want [%q]", faults, wantNilSlab)
+		}
+	})
+
+	t.Run("checked get of a stale generation faults", func(t *testing.T) {
+		var faults []string
+		a := NewArena[payload](Checked[payload](true), record(&faults))
+		ref, _ := a.Alloc()
+		a.Free(ref)
+		a.Get(ref.WithMark())
+		want := fmt.Sprintf("use-after-free dereference: %v, slot generation %d", ref, ref.Gen()+1)
+		if len(faults) != 1 || faults[0] != want {
+			t.Fatalf("faults = %q, want [%q]", faults, want)
+		}
+	})
+
+	t.Run("checked get of a live ref matches the unchecked fast path", func(t *testing.T) {
+		var faults []string
+		a := NewArena[payload](Checked[payload](true), record(&faults))
+		var refs []Ref
+		var ptrs []*payload
+		for i := 0; i < slabSize+2; i++ { // the last refs live in slab 1
+			ref, p := a.Alloc()
+			refs, ptrs = append(refs, ref), append(ptrs, p)
+		}
+		for _, i := range []int{0, 1, slabSize - 2, slabSize, slabSize + 1} {
+			for _, ref := range []Ref{refs[i], refs[i].WithMark()} {
+				a.checked = true
+				checked := a.Get(ref)
+				a.checked = false
+				unchecked := a.Get(ref)
+				if checked != ptrs[i] || unchecked != ptrs[i] {
+					t.Fatalf("Get(%v): checked %p, unchecked %p, allocated %p", ref, checked, unchecked, ptrs[i])
+				}
+			}
+		}
+		if len(faults) != 0 {
+			t.Fatalf("live refs faulted: %q", faults)
+		}
+	})
 }

@@ -48,7 +48,9 @@ const (
 	classBits = 4
 	indexBits = 64 - markBits - genBits - classBits
 
-	markMask   Ref = 1
+	// MarkBit is the Harris mark bit, for code that must test it without
+	// calling Marked (see smr.Ptr.Marked).
+	MarkBit    Ref = 1
 	genShift       = markBits
 	genMask    Ref = ((1 << genBits) - 1) << genShift
 	idxShift       = markBits + genBits
@@ -104,14 +106,14 @@ func (r Ref) Class() int { return int(r >> classShift) }
 func (r Ref) Gen() uint32 { return uint32((r & genMask) >> genShift) }
 
 // Marked reports whether the Harris mark bit is set.
-func (r Ref) Marked() bool { return r&markMask != 0 }
+func (r Ref) Marked() bool { return r&MarkBit != 0 }
 
 // WithMark returns r with the mark bit set.
-func (r Ref) WithMark() Ref { return r | markMask }
+func (r Ref) WithMark() Ref { return r | MarkBit }
 
 // Unmarked returns r with the mark bit cleared. Schemes always publish and
 // compare unmarked refs; structures store marked ones.
-func (r Ref) Unmarked() Ref { return r &^ markMask }
+func (r Ref) Unmarked() Ref { return r &^ MarkBit }
 
 // String renders the ref for diagnostics.
 func (r Ref) String() string {

@@ -67,6 +67,16 @@ type Base struct {
 	// NewBase (`d.Base.Dom = d`). Handles created by Register carry it.
 	Dom Domain
 
+	// EraClock and EraPublish are set together, like Dom, by a scheme whose
+	// Protect is the paper's Algorithm 2 (Hazard Eras). EraClock is the
+	// scheme's global era clock; EraPublish records era as the one
+	// protection index holds and publishes it. Handle.Protect then runs the
+	// Algorithm-2 loop itself, without dispatching to the scheme, and calls
+	// EraPublish only when the clock moved past the held era. Both are nil
+	// for every other scheme.
+	EraClock   *atomicx.PaddedUint64
+	EraPublish func(h *Handle, index int, era uint64)
+
 	Alloc Allocator
 	Cfg   Config
 
@@ -438,6 +448,7 @@ func (b *Base) makeHandle(s *Slot) *Handle {
 		retStripe:  b.retired.Stripe(s.id),
 		freeStripe: b.freed.Stripe(s.id),
 		scanStripe: b.scans.Stripe(s.id),
+		eraClock:   b.EraClock,
 	}
 	// Byte stripes stay nil for uniform-footprint allocators — the hot paths
 	// nil-check and skip (same gating pattern as the probe).

@@ -130,6 +130,10 @@ type Handle struct {
 	retBytesStripe  *atomicx.PaddedInt64
 	freeBytesStripe *atomicx.PaddedInt64
 
+	// eraClock caches Base.EraClock: non-nil exactly when Protect runs the
+	// scheme's Algorithm-2 loop itself.
+	eraClock *atomicx.PaddedUint64
+
 	// probe carries every per-session hook (Table-1 counters, flight
 	// recorder, latency histograms, lifecycle tracer); nil when the domain
 	// has neither an Instrument nor an obs domain attached, so each hook
@@ -157,33 +161,62 @@ func (h *Handle) BeginOp() { h.dom.BeginOp(h) }
 func (h *Handle) EndOp() { h.dom.EndOp(h) }
 
 // Protect loads *src under protection index i (the paper's
-// get_protected(tid, i, src) with the tid folded into the session). It has
-// two paths: without a probe it is the plain interface dispatch behind one
-// untaken nil check; with one, protectProbed adds the sampled latency
-// bracket and the lifecycle protect event.
+// get_protected(tid, i, src) with the tid folded into the session).
+//
+// For an era scheme (Base.EraClock set) Protect is Algorithm 2 itself, and
+// the scheme's Protect calls back into it, so the loop exists once. Each
+// iteration loads *src, passes the PointProtect gate, loads the era clock
+// and compares it with the era this index already holds. On the fast path
+// (the era is unchanged) that is the two seq-cst loads and no store the
+// paper counts per node, and no call leaves this function. Only a moved
+// clock calls the scheme, to publish the new era before the loop re-reads
+// *src. Every other scheme is reached by interface dispatch.
+//
+// A probe, when attached, brackets either path: one Protect in every
+// 2^SampleShift is timed into the protect-latency histogram, and a sampled
+// ref gets its lifecycle protect event.
 func (h *Handle) Protect(index int, src *atomic.Uint64) mem.Ref {
-	if p := h.probe; p != nil {
-		return h.protectProbed(p, index, src)
+	clock, p := h.eraClock, h.probe
+	if clock == nil && p == nil {
+		// Dispatch returns here, before the bracket and the loop make the
+		// compiler spill the arguments.
+		return h.dom.Protect(h, index, src)
 	}
-	return h.dom.Protect(h, index, src)
-}
-
-// protectProbed is Protect with a probe attached: one bracket in every
-// 2^SampleShift is timed into the protect-latency histogram.
-func (h *Handle) protectProbed(p *probe, index int, src *atomic.Uint64) mem.Ref {
-	if p.prot != nil {
-		p.tickProt++
-		if p.tickProt&p.mask == 0 {
-			t0 := obs.Now()
-			ref := h.dom.Protect(h, index, src)
-			p.prot.Record(obs.Now() - t0)
-			p.traceProtect(ref)
-			return ref
+	var t0 int64
+	if p != nil {
+		t0 = p.protectStart()
+	}
+	var ptr mem.Ref
+	if clock != nil {
+		prevEra := h.Held[index]
+		loops := int64(1)
+		for {
+			ptr = mem.Ref(src.Load())
+			// The window this gate exposes: the reference is read but the
+			// era that will protect it is not yet validated/published.
+			schedtest.Point(schedtest.PointProtect)
+			era := clock.Load()
+			if era == prevEra {
+				if p == nil {
+					return ptr // unwatched: nothing to count or time
+				}
+				break
+			}
+			h.base.EraPublish(h, index, era)
+			prevEra = era
+			loops++
 		}
+		// Counted once the loop is done, so the loop itself tests nothing
+		// but the era: one visit, and two seq-cst loads per iteration.
+		p.insVisit()
+		p.insLoads(2 * loops)
+	} else {
+		ptr = h.dom.Protect(h, index, src)
 	}
-	ref := h.dom.Protect(h, index, src)
-	p.traceProtect(ref)
-	return ref
+	if p != nil {
+		p.protectEnd(t0, ptr)
+	}
+	return ptr
 }
 
 // Retire declares ref unlinked and due for eventual reclamation. Sampled
@@ -443,18 +476,10 @@ func (h *Handle) ObsEra(clock uint64) {
 }
 
 // InsVisit records one Protect call (one node visited) by this session.
-func (h *Handle) InsVisit() {
-	if p := h.probe; p != nil && p.visits != nil {
-		p.visits.Add(1)
-	}
-}
+func (h *Handle) InsVisit() { h.probe.insVisit() }
 
 // InsLoad records one seq-cst atomic load issued by this session.
-func (h *Handle) InsLoad() {
-	if p := h.probe; p != nil && p.loads != nil {
-		p.loads.Add(1)
-	}
-}
+func (h *Handle) InsLoad() { h.probe.insLoads(1) }
 
 // InsStore records one seq-cst atomic store issued by this session.
 func (h *Handle) InsStore() {

@@ -140,8 +140,40 @@ func (p *probe) event(k obs.Kind) {
 	}
 }
 
-// traceProtect lands a protect event on a sampled ref's lifecycle span.
-func (p *probe) traceProtect(ref mem.Ref) {
+// insVisit and insLoads are Handle.InsVisit and Handle.InsLoad on a probe
+// already in hand; both are no-ops on a nil probe or without an Instrument.
+func (p *probe) insVisit() {
+	if p != nil && p.visits != nil {
+		p.visits.Add(1)
+	}
+}
+
+func (p *probe) insLoads(n int64) {
+	if p != nil && p.loads != nil {
+		p.loads.Add(n)
+	}
+}
+
+// protectStart opens Handle.Protect's latency bracket: it returns the start
+// time when this call is the sampled one in 2^SampleShift, and 0 otherwise
+// (obs.Now is positive once the process runs, so 0 means unsampled).
+func (p *probe) protectStart() int64 {
+	if p.prot != nil {
+		p.tickProt++
+		if p.tickProt&p.mask == 0 {
+			return obs.Now()
+		}
+	}
+	return 0
+}
+
+// protectEnd closes the bracket protectStart opened, recording the elapsed
+// time when it was sampled, and lands a protect event on a sampled ref's
+// lifecycle span.
+func (p *probe) protectEnd(t0 int64, ref mem.Ref) {
+	if t0 != 0 {
+		p.prot.Record(obs.Now() - t0)
+	}
 	if tr := p.trace; tr != nil && !ref.IsNil() {
 		if r := uint64(ref.Unmarked()); tr.Sampled(r) {
 			tr.Event(r, obs.SpanProtect, p.id, 0)

@@ -90,13 +90,25 @@ var runMu sync.Mutex
 // i.e. context-switch the cooperative schedule. Goroutines registered via
 // BeginBystander (background reclaimers) bypass the schedule entirely — only
 // the token holder may touch the controller.
+//
+// Point holds only the armed test so the compiler inlines it into every
+// gated hot path (scripts/check.sh quick fails if it stops doing so);
+// everything a controller needs lives in pointSlow.
 func Point(k Kind) {
-	if c := active.Load(); c != nil {
-		if bystanderN.Load() != 0 && isBystander() {
-			return
-		}
-		c.point(k)
+	if active.Load() != nil {
+		pointSlow(k)
 	}
+}
+
+// pointSlow is Point under an installed controller. It reloads the
+// controller: Run may have uninstalled it since Point's test, in which case
+// the gate is a no-op exactly as if the test had failed.
+func pointSlow(k Kind) {
+	c := active.Load()
+	if c == nil || bystanderN.Load() != 0 && isBystander() {
+		return
+	}
+	c.point(k)
 }
 
 // Enabled reports whether a controller is currently installed — used by

@@ -144,6 +144,37 @@ echo "== build =="
 go build ./...
 echo "== vet =="
 go vet ./...
+echo "== inlining gate (DESIGN.md \"What a protected hop calls\") =="
+# Each pattern must match, as an extended regexp, a whole function name
+# that go build -gcflags=-m reports as "can inline" in that package.
+# Generic smr wrappers are reported where a structure instantiates them.
+inline_gate() {
+  local pkg="$1" names
+  shift
+  names=$(go build -gcflags=-m "$pkg" 2>&1 | sed -n 's/^.*: can inline //p')
+  for fn in "$@"; do
+    grep -qxE "$fn" <<<"$names" || { echo "$pkg: no longer inlinable: $fn"; exit 1; }
+  done
+}
+inline_gate ./internal/schedtest 'Point'
+inline_gate ./internal/atomicx '\(\*PaddedUint64\)\.Load'
+inline_gate ./internal/reclaim '\(\*probe\)\.insVisit' '\(\*probe\)\.insLoads'
+inline_gate ./internal/list 'smr\.\(\*Atomic\[.*\]\)\.Load' 'smr\.\(\*Domain\[.*\]\)\.Deref'
+# A generic instantiation compiled outside mem does not inline mem.Ref's
+# methods, so neither the list's traversal step nor the Arena.Get it calls
+# may call one. hop_gate takes an awk regexp for a function's header line
+# in the assembly listing.
+asm=$(go build -gcflags=-S ./internal/list 2>&1)
+hop_gate() {
+  local body
+  body=$(RE="$1" awk '$0 ~ ENVIRON["RE"] {f=1; print; next} / STEXT / {f=0} f' <<<"$asm")
+  [ -n "$body" ] || { echo "./internal/list: no assembly for $1"; exit 1; }
+  if grep -q 'CALL.*mem\.Ref\.' <<<"$body"; then
+    echo "./internal/list: $1 calls a mem.Ref method out of line"; exit 1
+  fi
+}
+hop_gate '^repro/internal/list\.\(\*Ops\)\.find STEXT'
+hop_gate '^repro/internal/mem\.\(\*Arena\[.*\]\)\.Get STEXT'
 echo "== hygiene (no sampler artifacts committed under internal/) =="
 stray=$(find internal -name '*.jsonl' 2>/dev/null || true)
 [ -z "$stray" ] || { echo "stray .jsonl artifacts under internal/:"; echo "$stray"; exit 1; }

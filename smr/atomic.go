@@ -28,8 +28,12 @@ func (p Ptr[T]) Ref() Ref { return p.ref }
 // IsNil reports whether p is null (ignoring the mark bit).
 func (p Ptr[T]) IsNil() bool { return p.ref.Unmarked().IsNil() }
 
-// Marked reports the Harris mark bit.
-func (p Ptr[T]) Marked() bool { return p.ref.Marked() }
+// Marked reports the Harris mark bit. It tests the bit itself rather than
+// calling mem.Ref.Marked: a structure's instantiation of this method is
+// compiled in a package that does not import mem, and there the compiler
+// does not inline mem.Ref's methods, so every traversal step would make
+// the call.
+func (p Ptr[T]) Marked() bool { return p.ref&mem.MarkBit != 0 }
 
 // Unmarked returns p with the mark bit cleared.
 func (p Ptr[T]) Unmarked() Ptr[T] { return Ptr[T]{p.ref.Unmarked()} }
