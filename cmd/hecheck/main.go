@@ -57,7 +57,7 @@ var (
 	flagOps       = flag.Int("ops", 8, "operations per worker per schedule")
 	flagSwitchPct = flag.Int("switchpct", 30, "token-switch probability at eligible gates (0..100)")
 	flagMaxSteps  = flag.Uint64("maxsteps", 1<<20, "schedule budget: gates per run before abort")
-	flagMutate    = flag.String("mutate", "", "arm a kill-check defect: skip-publish, invert-lifespan (HE), hyaline-early-dec, wfe-skip-validate (domain suite only)")
+	flagMutate    = flag.String("mutate", "", "arm a kill-check defect: skip-publish, invert-lifespan, short-scan (HE), hyaline-early-dec, wfe-skip-validate (domain suite only)")
 	flagVerbose   = flag.Bool("v", false, "print every combination, not only failures")
 )
 
@@ -180,6 +180,10 @@ func parseMutation(s string) (*mutationSpec, error) {
 		return &mutationSpec{name: s, schemes: heSchemes, arm: func(d reclaim.Domain) {
 			d.(*core.Eras).EnableMutation(core.MutInvertLifespan)
 		}}, nil
+	case "short-scan":
+		return &mutationSpec{name: s, schemes: heSchemes, arm: func(d reclaim.Domain) {
+			d.(*core.Eras).EnableMutation(core.MutShortScan)
+		}}, nil
 	case "hyaline-early-dec":
 		return &mutationSpec{name: s, schemes: map[smr.Scheme]bool{smr.Hyaline: true}, arm: func(d reclaim.Domain) {
 			d.(*hyaline.Domain).EnableMutation(hyaline.MutEarlyDecRef)
@@ -199,7 +203,7 @@ func parseMutation(s string) (*mutationSpec, error) {
 				w.SetMaxTries(0)
 			}}, nil
 	}
-	return nil, fmt.Errorf("unknown -mutate %q (want skip-publish, invert-lifespan, hyaline-early-dec or wfe-skip-validate)", s)
+	return nil, fmt.Errorf("unknown -mutate %q (want skip-publish, invert-lifespan, short-scan, hyaline-early-dec or wfe-skip-validate)", s)
 }
 
 func seedList() []uint64 {
@@ -350,8 +354,11 @@ func runDomainSeed(sch smr.Scheme, mutation *mutationSpec, seed uint64) []string
 		cells[i].Store(uint64(ref))
 	}
 
+	// Writers register first, so the readers, whose protections every scan
+	// must see, hold the highest slot ids: a registry walk that stops short
+	// of the issued count misses a protecting session, not an idle one.
 	handles := make([]*reclaim.Handle, workers)
-	for w := range handles {
+	for w := workers - 1; w >= 0; w-- {
 		handles[w] = dom.Register()
 	}
 

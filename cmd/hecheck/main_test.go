@@ -56,6 +56,7 @@ func TestMutationKillCheck(t *testing.T) {
 	}{
 		{"skip-publish", smr.HE},
 		{"invert-lifespan", smr.HE},
+		{"short-scan", smr.HE},
 		{"hyaline-early-dec", smr.Hyaline},
 		{"wfe-skip-validate", smr.WFE},
 	}

@@ -102,6 +102,10 @@ const (
 	// MutInvertLifespan inverts scan's protected() predicate: a scan frees
 	// exactly the objects whose lifespans ARE covered by published eras.
 	MutInvertLifespan
+	// MutShortScan stops every HE registry walk one slot before the issued
+	// count: the session holding the highest id is never read, so its
+	// published eras protect nothing.
+	MutShortScan
 )
 
 // EnableMutation installs a kill-check defect (construction/setup time
@@ -285,13 +289,14 @@ func (d *Eras) Retire(h *reclaim.Handle, ref mem.Ref) {
 func (d *Eras) Scan(h *reclaim.Handle) { d.scan(h) }
 
 // scan frees every retired object not protected by any published era. The
-// published-era cells of every slot in the registry chain are snapshotted
+// published-era cells of every registered session's slot are snapshotted
 // once into the session's reusable scratch buffer and sorted, so each
 // retired object is tested with a binary search instead of re-reading the
 // whole registry (see reclaim/snapshot.go); the per-object condition is
-// exactly protected()'s. Idle and free slots publish noneEra and are
-// skipped by value; blocks published after the walk started protect only
-// sessions that cannot hold the objects scanned here (see handle.go).
+// exactly protected()'s. The walk stops at the sessions ever registered;
+// idle and free slots below that publish noneEra and are skipped by
+// value; sessions registered after the walk started cannot hold the
+// objects scanned here (see handle.go).
 func (d *Eras) scan(h *reclaim.Handle) {
 	h.NoteScan()
 	defer h.NoteScanEnd()
@@ -310,9 +315,9 @@ func (d *Eras) scan(h *reclaim.Handle) {
 		// preserves the semantics exactly.
 		snap := h.IntervalScratch()
 		snap.Begin()
-		for blk := d.FirstBlock(); blk != nil; blk = blk.Next() {
+		walk := d.sessions()
+		for slots := walk.Next(); slots != nil; slots = walk.Next() {
 			schedtest.Point(schedtest.PointScan)
-			slots := blk.Slots()
 			for t := range slots {
 				w := slots[t].Words()
 				lo := w[0].Load()
@@ -338,9 +343,9 @@ func (d *Eras) scan(h *reclaim.Handle) {
 	}
 	snap := h.EraScratch()
 	snap.Begin()
-	for blk := d.FirstBlock(); blk != nil; blk = blk.Next() {
+	walk := d.sessions()
+	for slots := walk.Next(); slots != nil; slots = walk.Next() {
 		schedtest.Point(schedtest.PointScan)
-		slots := blk.Slots()
 		for t := range slots {
 			w := slots[t].Words()
 			for i := range w {
@@ -355,6 +360,16 @@ func (d *Eras) scan(h *reclaim.Handle) {
 		hdr := d.Alloc.Header(obj)
 		return snap.CoversRange(hdr.BirthEra, hdr.RetireEra)
 	}))
+}
+
+// sessions opens the registry walk of every HE scan and of protected().
+// The MutShortScan kill-check defect stops it one slot short.
+func (d *Eras) sessions() reclaim.SlotWalk {
+	w := d.Sessions()
+	if d.mutation == MutShortScan {
+		w.Shorten(1)
+	}
+	return w
 }
 
 // mutated wraps a scan's protected() predicate with the MutInvertLifespan
@@ -373,8 +388,8 @@ func (d *Eras) mutated(protected func(mem.Ref) bool) func(mem.Ref) bool {
 func (d *Eras) protected(obj mem.Ref) bool {
 	hdr := d.Alloc.Header(obj)
 	birth, retire := hdr.BirthEra, hdr.RetireEra
-	for blk := d.FirstBlock(); blk != nil; blk = blk.Next() {
-		slots := blk.Slots()
+	walk := d.sessions()
+	for slots := walk.Next(); slots != nil; slots = walk.Next() {
 		for t := range slots {
 			w := slots[t].Words()
 			if d.minMax {

@@ -28,6 +28,17 @@ func naiveProtected(eras []uint64, birth, retire uint64) bool {
 	return false
 }
 
+// registerAll opens n sessions on d and returns them: scans read only the
+// slots of ids ever handed out, so the properties below publish their eras
+// straight into these sessions' cells.
+func registerAll(d *Eras, n int) []*reclaim.Handle {
+	hs := make([]*reclaim.Handle, n)
+	for i := range hs {
+		hs[i] = d.Register()
+	}
+	return hs
+}
+
 // TestProtectedMatchesNaiveModelQuick: the scan in standard mode must agree
 // exactly with the brute-force model for arbitrary published eras and
 // lifetimes.
@@ -36,11 +47,11 @@ func TestProtectedMatchesNaiveModelQuick(t *testing.T) {
 	prop := func(rawEras [threads * slots]uint16, b16, r16 uint16) bool {
 		arena := mem.NewArena[tnode]()
 		d := New(arena, reclaim.Config{MaxThreads: threads, Slots: slots})
+		hs := registerAll(d, threads)
 		eras := make([]uint64, threads*slots)
-		regSlots := d.FirstBlock().Slots()
 		for i, e := range rawEras {
 			eras[i] = uint64(e % 50) // dense range so overlaps actually occur
-			regSlots[i/slots].Word(i % slots).Store(eras[i])
+			hs[i/slots].Words[i%slots].Store(eras[i])
 		}
 		birth := uint64(b16 % 50)
 		retire := birth + uint64(r16%10)
@@ -65,15 +76,15 @@ func TestMinMaxIsConservativeQuick(t *testing.T) {
 		arenaMM := mem.NewArena[tnode]()
 		std := New(arenaStd, reclaim.Config{MaxThreads: threads, Slots: slots})
 		mm := New(arenaMM, reclaim.Config{MaxThreads: threads, Slots: slots}, WithMinMax(true))
+		stdSlots := registerAll(std, threads)
+		mmSlots := registerAll(mm, threads)
 
 		// Publish the same held sets through both disciplines.
-		stdSlots := std.FirstBlock().Slots()
-		mmSlots := mm.FirstBlock().Slots()
 		for ti := 0; ti < threads; ti++ {
 			var lo, hi uint64
 			for si := 0; si < slots; si++ {
 				e := uint64(rawEras[ti*slots+si] % 50)
-				stdSlots[ti].Word(si).Store(e)
+				stdSlots[ti].Words[si].Store(e)
 				if e == noneEra {
 					continue
 				}
@@ -84,8 +95,8 @@ func TestMinMaxIsConservativeQuick(t *testing.T) {
 					hi = e
 				}
 			}
-			mmSlots[ti].Word(0).Store(lo)
-			mmSlots[ti].Word(1).Store(hi)
+			mmSlots[ti].Words[0].Store(lo)
+			mmSlots[ti].Words[1].Store(hi)
 		}
 
 		birth := uint64(b16 % 50)

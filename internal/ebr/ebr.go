@@ -113,11 +113,11 @@ func (d *Domain) Retire(h *reclaim.Handle, ref mem.Ref) {
 }
 
 // tryAdvance bumps the global epoch iff every active session has announced
-// the current epoch. The walk covers every published slot block; quiescent
-// and free slots announce 0 and cannot block the advance.
+// the current epoch. The walk covers every session ever registered;
+// quiescent and free slots announce 0 and cannot block the advance.
 func (d *Domain) tryAdvance(h *reclaim.Handle, observed uint64) {
-	for blk := d.FirstBlock(); blk != nil; blk = blk.Next() {
-		slots := blk.Slots()
+	walk := d.Sessions()
+	for slots := walk.Next(); slots != nil; slots = walk.Next() {
 		for i := range slots {
 			a := slots[i].Word(0).Load()
 			if a&activeBit != 0 && a>>1 != observed {

@@ -135,8 +135,8 @@ func (d *Pointers) Scan(h *reclaim.Handle) { d.scan(h) }
 // scan frees every retired object whose unmarked ref is not published in
 // any hazard-pointer slot (Michael's Scan with a sorted snapshot). The
 // snapshot lives in the session's reusable scratch buffer, so steady-state
-// scans allocate nothing. The walk covers every published slot block; idle
-// slots hold nonePtr and are skipped by value.
+// scans allocate nothing. The walk covers every session ever registered;
+// idle slots hold nonePtr and are skipped by value.
 func (d *Pointers) scan(h *reclaim.Handle) {
 	h.NoteScan()
 	defer h.NoteScanEnd()
@@ -146,9 +146,9 @@ func (d *Pointers) scan(h *reclaim.Handle) {
 	}
 	snap := h.EraScratch() // holds pointer bits here, not eras
 	snap.Begin()
-	for blk := d.FirstBlock(); blk != nil; blk = blk.Next() {
+	walk := d.Sessions()
+	for slots := walk.Next(); slots != nil; slots = walk.Next() {
 		schedtest.Point(schedtest.PointScan)
-		slots := blk.Slots()
 		for t := range slots {
 			w := slots[t].Words()
 			for i := range w {

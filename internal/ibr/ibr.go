@@ -176,7 +176,7 @@ func (d *Domain) Scan(h *reclaim.Handle) { d.scan(h) }
 // session's reusable scratch buffer (sorted by lower bound, prefix-max
 // upper), so each retired object is tested with a binary search instead of
 // re-reading all interval cells; the per-object condition is exactly
-// protected()'s. The walk covers every published slot block; inactive
+// protected()'s. The walk covers every session ever registered; inactive
 // slots publish 0 and are skipped by value.
 func (d *Domain) scan(h *reclaim.Handle) {
 	h.NoteScan()
@@ -187,9 +187,9 @@ func (d *Domain) scan(h *reclaim.Handle) {
 	}
 	snap := h.IntervalScratch()
 	snap.Begin()
-	for blk := d.FirstBlock(); blk != nil; blk = blk.Next() {
+	walk := d.Sessions()
+	for slots := walk.Next(); slots != nil; slots = walk.Next() {
 		schedtest.Point(schedtest.PointScan)
-		slots := blk.Slots()
 		for t := range slots {
 			w := slots[t].Words()
 			lo := w[0].Load()
@@ -229,8 +229,8 @@ func (d *Domain) Unregister(h *reclaim.Handle) {
 func (d *Domain) protected(obj mem.Ref) bool {
 	hdr := d.Alloc.Header(obj)
 	birth, retire := hdr.BirthEra, hdr.RetireEra
-	for blk := d.FirstBlock(); blk != nil; blk = blk.Next() {
-		slots := blk.Slots()
+	walk := d.Sessions()
+	for slots := walk.Next(); slots != nil; slots = walk.Next() {
 		for t := range slots {
 			w := slots[t].Words()
 			lo := w[0].Load()

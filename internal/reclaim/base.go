@@ -89,6 +89,14 @@ type Base struct {
 	// only under mu — Register/Unregister/Acquire/Release are cold paths.
 	head *SlotBlock
 
+	// issued is the number of slot ids Register has handed out. Ids are
+	// dense and a recycled slot keeps its id, so every slot a session has
+	// ever owned lies in [0, issued). Register stores it (seq-cst, under
+	// mu) after a grown block's publication and before it returns; every
+	// registry walk (Sessions) and stripe fold stops there instead of at
+	// the capacity.
+	issued atomic.Int64
+
 	mu        sync.Mutex
 	tail      *SlotBlock
 	tailUsed  int     // slots handed out from tail
@@ -288,8 +296,8 @@ func (b *Base) EnableObs(d *obs.Domain) {
 	}
 	if b.obsEraClock != nil && b.obsEraDecode != nil {
 		d.SetEraSource(b.obsEraClock, func(yield func(session int, era uint64)) {
-			for blk := b.head; blk != nil; blk = blk.Next() {
-				slots := blk.Slots()
+			walk := b.Sessions()
+			for slots := walk.Next(); slots != nil; slots = walk.Next() {
 				for i := range slots {
 					s := &slots[i]
 					if era, ok := b.obsEraDecode(s.words); ok {
@@ -404,9 +412,14 @@ func newSlotBlock(firstID, n, wordsPerSlot int, initWord uint64) *SlotBlock {
 	return blk
 }
 
-// FirstBlock returns the head of the registry chain. Scans walk it via
-// SlotBlock.Next, observing every block published before their first load.
-func (b *Base) FirstBlock() *SlotBlock { return b.head }
+// Sessions opens a walk over the slots of every session id handed out so
+// far, in id order. It loads the issued count first and only then walks the
+// chain, which is what keeps a walk that stops at the count safe (see the
+// growth protocol in handle.go). Every scan, epoch advance, grace-period
+// wait and era-lag gauge walks the registry through it.
+func (b *Base) Sessions() SlotWalk {
+	return SlotWalk{blk: b.head, left: int(b.issued.Load())}
+}
 
 // Register opens a session: it reuses a recycled slot if one is free,
 // otherwise takes the next slot of the tail block, otherwise grows the
@@ -428,6 +441,8 @@ func (b *Base) Register() *Handle {
 		}
 		s = &b.tail.slots[b.tailUsed]
 		b.tailUsed++
+		// After any growth's publication, before the session can act.
+		b.issued.Store(int64(s.id + 1))
 	}
 	b.active.Add(1)
 	b.mu.Unlock()
@@ -456,8 +471,12 @@ func (b *Base) makeHandle(s *Slot) *Handle {
 		h.retBytesStripe = b.retiredBytes.Stripe(s.id)
 		h.freeBytesStripe = b.freedBytes.Stripe(s.id)
 	}
-	if b.Cfg.Slots > 0 {
-		h.Held = make([]uint64, b.Cfg.Slots)
+	if n := b.Cfg.Slots; n > 0 {
+		// Capacity rounded up to whole cache lines: Protect and EndOp write
+		// Held on every operation, and a smaller array would share its line
+		// with the next session's, allocated right after it.
+		perLine := atomicx.CacheLineSize / 8
+		h.Held = make([]uint64, n, (n+perLine-1)/perLine*perLine)
 	}
 	h.probe = newProbe(s.id, b.Cfg.Instrument, b.obsDom)
 	return h
@@ -557,9 +576,13 @@ func (b *Base) observePeak() {
 // folds is counted while its free cannot be yet), which only ever biases
 // the transient reading high; the clamp covers the residual skew from
 // StripedCounter's own non-atomic stripe walk.
+//
+// Only ids below the issued count have ever written a stripe, so both folds
+// stop at the stripes those ids map to (StripedCounter.SumFirst).
 func (b *Base) pendingFold() int64 {
-	freed := b.freed.Sum()
-	retired := b.retired.Sum()
+	n := int(b.issued.Load())
+	freed := b.freed.SumFirst(n)
+	retired := b.retired.SumFirst(n)
 	if pending := retired - freed; pending > 0 {
 		return pending
 	}
@@ -594,9 +617,10 @@ func (b *Base) DrainAll() {
 	if o := b.off; o != nil {
 		o.shutdown(b)
 	}
-	for blk := b.head; blk != nil; blk = blk.Next() {
-		for i := range blk.slots {
-			s := &blk.slots[i]
+	walk := b.Sessions()
+	for slots := walk.Next(); slots != nil; slots = walk.Next() {
+		for i := range slots {
+			s := &slots[i]
 			for _, ref := range s.rl.refs {
 				b.freeAt(s.id, ref)
 			}
@@ -651,8 +675,9 @@ func (b *Base) freeAt(id int, ref mem.Ref) {
 // (see pendingFold) so a concurrent retire/free landing between the stripe
 // folds can never drive the reading negative.
 func (b *Base) BaseStats() Stats {
-	freed := b.freed.Sum()
-	retired := b.retired.Sum()
+	n := int(b.issued.Load()) // fold bound, as in pendingFold
+	freed := b.freed.SumFirst(n)
+	retired := b.retired.SumFirst(n)
 	pending := retired - freed
 	if pending < 0 {
 		pending = 0
@@ -663,8 +688,8 @@ func (b *Base) BaseStats() Stats {
 	if b.retiredBytes == nil {
 		pendingBytes = pending * b.uniformBytes
 	} else {
-		freedBytes := b.freedBytes.Sum()
-		retiredBytes := b.retiredBytes.Sum()
+		freedBytes := b.freedBytes.SumFirst(n)
+		retiredBytes := b.retiredBytes.SumFirst(n)
 		pendingBytes = retiredBytes - freedBytes
 		if pendingBytes < 0 {
 			pendingBytes = 0
@@ -677,7 +702,7 @@ func (b *Base) BaseStats() Stats {
 		Pending:      pending,
 		PendingBytes: pendingBytes,
 		PeakPending:  b.peak.Max(),
-		Scans:        b.scans.Sum(),
+		Scans:        b.scans.SumFirst(n),
 		PoolHits:     b.poolHits.Load(),
 		PoolMisses:   b.poolMisses.Load(),
 	}

@@ -21,24 +21,42 @@ import (
 // the tail block, it allocates a new block — sized to double the total slot
 // count — fully initializes every published cell to the scheme's idle
 // sentinel (initWord), and only then publishes it with a single seq-cst
-// store of the previous tail's next pointer. Scans, epoch advances and
-// grace-period waits walk the chain through seq-cst loads of those next
-// pointers, visiting every slot of every block published at that moment.
+// store of the previous tail's next pointer. Register then stores the
+// issued count, the number of slot ids handed out so far (seq-cst, under
+// the registry lock), and only then returns. A recycled slot keeps its id,
+// which is already below the count, so reuse leaves the count alone.
 //
-// A scan that misses a block B (loads next == nil before B's publication in
-// the seq-cst total order) is still safe, for every scheme, by one shared
-// argument: a session slot in B cannot act before Register returns, and B's
-// publication precedes Register's return. So if a scanner's chain-walk load
-// precedes B's publication, then *every* memory operation of every session
-// in B — era/hazard/epoch/version publication and, crucially, every load of
-// the data structure — is later in the seq-cst order than the scanner's
-// walk, and therefore later than the unlink that preceded the retirement
-// being scanned. A reader that started after an object was unlinked cannot
-// reach the object (for HP it fails validation; for HE/IBR it cannot load a
-// reference at all; for EBR/URCU it is the standard new-reader argument),
-// so failing to observe its slot cannot free anything it holds. Idle and
-// free slots hold initWord in every cell, so scans skip them by value —
-// there is no in-use flag to race on.
+// Scans, epoch advances and grace-period waits walk the registry through
+// Base.Sessions: one seq-cst load of the issued count n, then seq-cst loads
+// of the next pointers, visiting slots [0, n) and nothing beyond. The walk
+// never finds the chain shorter than n: the block holding id n-1 was
+// published before the count store that the load read, so every later
+// next-pointer load sees it.
+//
+// A walk that misses a slot s (id at or past the loaded n) is still safe,
+// for every scheme, by one shared argument: the session owning s cannot
+// act before its Register returns, and Register stores a count above s's
+// id before returning. The count only grows, so the walk's load, which
+// read n, precedes that store in the seq-cst total order. So *every*
+// memory operation of that session — era/hazard/epoch/version publication
+// and, crucially, every load of the data structure — is later than the
+// walk's count load, and therefore later than the unlink that preceded the
+// retirement being scanned. A reader that started after an object was
+// unlinked cannot reach the object (for HP it fails validation; for HE/IBR
+// it cannot load a reference at all; for EBR/URCU it is the standard
+// new-reader argument), so failing to observe its slot cannot free anything
+// it holds. The same argument covers a block the walk would have found
+// unpublished: its slots' ids are all at or past n.
+//
+// The count is loaded before the chain, not during or after it, because
+// only a count loaded first is a bound the chain is sure to reach: the
+// blocks holding every id below it were published before the store the
+// load read. The walk therefore ends on the count alone, with no nil
+// check, and never loads the next pointer past the block where the prefix
+// ends. (The safety argument above needs only that the load follows the
+// unlink, which every load of a scan does.) Idle and free slots below the
+// count hold initWord in every cell, so scans skip them by value — there
+// is no in-use flag to race on.
 
 // retiredListState is the owner-session-only reclamation state: the retired
 // list itself plus the scratch snapshot buffers reused by every scan pass
@@ -88,11 +106,38 @@ type SlotBlock struct {
 	next  atomic.Pointer[SlotBlock]
 }
 
-// Slots returns the block's slots for scan loops.
-func (b *SlotBlock) Slots() []Slot { return b.slots }
+// SlotWalk visits the slots of the session ids below the issued count
+// loaded when Base.Sessions opened it, one block's run at a time:
+//
+//	walk := d.Sessions()
+//	for slots := walk.Next(); slots != nil; slots = walk.Next() { ... }
+type SlotWalk struct {
+	blk  *SlotBlock
+	left int // slots of the prefix not yet returned
+}
 
-// Next returns the next published block, or nil at the current tail.
-func (b *SlotBlock) Next() *SlotBlock { return b.next.Load() }
+// Next returns the next block's slots, trimmed to the walk's prefix, or nil
+// once the prefix is exhausted. The next pointer past the block that ends
+// the prefix is never loaded.
+func (w *SlotWalk) Next() []Slot {
+	if w.left <= 0 {
+		return nil
+	}
+	slots := w.blk.slots
+	if len(slots) > w.left {
+		slots = slots[:w.left]
+	}
+	w.left -= len(slots)
+	if w.left > 0 {
+		w.blk = w.blk.next.Load()
+	}
+	return slots
+}
+
+// Shorten makes the walk stop n slots early. It exists for kill-check
+// defects (core.MutShortScan) that prove a walk missing the last session
+// is caught; no correct walk calls it.
+func (w *SlotWalk) Shorten(n int) { w.left -= n }
 
 // Handle is a registered SMR session. It owns a Slot and caches direct
 // pointers to everything the per-operation hot paths touch — the published

@@ -75,9 +75,9 @@ func TestRegistryGrowsBeyondInitialCapacity(t *testing.T) {
 	// The chain must cover every live slot exactly once.
 	count := 0
 	ids := map[int]bool{}
-	for blk := b.FirstBlock(); blk != nil; blk = blk.Next() {
-		for i := range blk.Slots() {
-			s := &blk.Slots()[i]
+	for blk := b.head; blk != nil; blk = blk.next.Load() {
+		for i := range blk.slots {
+			s := &blk.slots[i]
 			if ids[s.ID()] {
 				t.Fatalf("slot id %d appears twice on the chain", s.ID())
 			}
@@ -121,10 +121,11 @@ func TestRegistryConcurrentGrowth(t *testing.T) {
 		}
 		seen[h.ID()] = true
 	}
-	// Every published word must be reachable via the chain walk.
+	// Every published word must be reachable through the registry walk the
+	// scans use, which stops at the issued count.
 	found := 0
-	for blk := b.FirstBlock(); blk != nil; blk = blk.Next() {
-		slots := blk.Slots()
+	walk := b.Sessions()
+	for slots := walk.Next(); slots != nil; slots = walk.Next() {
 		for i := range slots {
 			if slots[i].Word(0).Load() != 0 {
 				found++

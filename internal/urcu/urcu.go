@@ -108,9 +108,9 @@ func (d *Domain) Synchronize() {
 	if d.updaterVersion.Load() < waitFor {
 		d.updaterVersion.CompareAndSwap(waitFor-1, waitFor)
 	}
-	for blk := d.FirstBlock(); blk != nil; blk = blk.Next() {
+	walk := d.Sessions()
+	for slots := walk.Next(); slots != nil; slots = walk.Next() {
 		schedtest.Point(schedtest.PointScan)
-		slots := blk.Slots()
 		for i := range slots {
 			w := slots[i].Word(0)
 			for w.Load() < waitFor {

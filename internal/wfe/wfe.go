@@ -551,9 +551,9 @@ func (d *Domain) scan(h *reclaim.Handle) {
 	}
 	snap := h.EraScratch()
 	snap.Begin()
-	for blk := d.FirstBlock(); blk != nil; blk = blk.Next() {
+	walk := d.Sessions()
+	for slots := walk.Next(); slots != nil; slots = walk.Next() {
 		schedtest.Point(schedtest.PointScan)
-		slots := blk.Slots()
 		for t := range slots {
 			w := slots[t].Words()
 			for i := range w {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full validation suite for the hazard-eras reproduction.
 # Usage: scripts/check.sh [quick|full|api|schemes|health]
-#        scripts/check.sh perf [base-ref] [pairs]
+#        scripts/check.sh perf [base-ref] [pairs] [METRIC@WORKLOAD]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,10 +12,14 @@ if [ "$mode" = "perf" ]; then
   # BENCHMARK.json declares (cmd/heperf/run.sh) runs on base-ref's committed
   # tree and on this checkout, alternating which goes first in each pair,
   # then heperf compare judges every end-to-end metric under its bound and
-  # this mode exits non-zero on any "worse" row. One pair takes about four
-  # minutes, so CI does not run it.
+  # this mode exits non-zero on any "worse" row. A METRIC@WORKLOAD argument
+  # is the gain the change claims: compare -claim then also requires it to
+  # win nine pairs in ten by more than the base side's spread, and fails
+  # the mode otherwise. One pair takes about four minutes, so CI does not
+  # run it.
   base_ref="${2:-HEAD~1}"
   pairs="${3:-10}"
+  claim="${4:-}"
   pdir="$PWD/.bench_build/perf"
   rm -rf "$pdir"
   mkdir -p "$pdir/tree" "$pdir/base" "$pdir/change"
@@ -35,7 +39,7 @@ if [ "$mode" = "perf" ]; then
     done
   done
   echo "== heperf compare ($base_ref vs this checkout, $pairs pairs) =="
-  bash cmd/heperf/run.sh compare "$pdir"/base/*.json "$pdir"/change/*.json
+  bash cmd/heperf/run.sh compare ${claim:+-claim "$claim"} "$pdir"/base/*.json "$pdir"/change/*.json
   echo "ALL CHECKS PASSED (perf)"
   exit 0
 fi
@@ -175,6 +179,12 @@ hop_gate() {
 }
 hop_gate '^repro/internal/list\.\(\*Ops\)\.find STEXT'
 hop_gate '^repro/internal/mem\.\(\*Arena\[.*\]\)\.Get STEXT'
+# The write side's logical-delete CAS builds its expected word with
+# smr.Ptr.WithMark; neither structure may reach mem.Ref.WithMark for it.
+wasm=$(go build -gcflags=-S ./internal/list ./internal/hashmap 2>&1)
+if grep -q 'CALL.*mem\.Ref\.WithMark' <<<"$wasm"; then
+  echo "./internal/list or ./internal/hashmap calls mem.Ref.WithMark out of line"; exit 1
+fi
 echo "== hygiene (no sampler artifacts committed under internal/) =="
 stray=$(find internal -name '*.jsonl' 2>/dev/null || true)
 [ -z "$stray" ] || { echo "stray .jsonl artifacts under internal/:"; echo "$stray"; exit 1; }

@@ -38,8 +38,9 @@ func (p Ptr[T]) Marked() bool { return p.ref&mem.MarkBit != 0 }
 // Unmarked returns p with the mark bit cleared.
 func (p Ptr[T]) Unmarked() Ptr[T] { return Ptr[T]{p.ref.Unmarked()} }
 
-// WithMark returns p with the mark bit set.
-func (p Ptr[T]) WithMark() Ptr[T] { return Ptr[T]{p.ref.WithMark()} }
+// WithMark returns p with the mark bit set. Like Marked it sets the bit
+// itself, so a structure's logical-delete CAS makes no call for it.
+func (p Ptr[T]) WithMark() Ptr[T] { return Ptr[T]{p.ref | mem.MarkBit} }
 
 // Atomic is a typed atomic link word holding a Ptr[T] (the paper's
 // per-node next pointer, or a structure's head/tail anchor). The zero

@@ -1,6 +1,7 @@
 package smr
 
 import (
+	"repro/internal/atomicx"
 	"repro/internal/reclaim"
 )
 
@@ -69,6 +70,11 @@ type Guard struct {
 	// route a released guard's Alloc to the safe shared slow path instead
 	// of a pooled session's private magazine.
 	id int32
+	// The trailing pad keeps two Guards' fields off one cache line: Guards
+	// are allocated one after another, and BeginOp/EndOp store state on
+	// every operation, so unpadded neighbours' sessions would invalidate
+	// each other's line on every operation of either.
+	_ atomicx.CacheLinePad
 }
 
 // Adopt wraps an internal session handle in a Guard. The Guard is parked in
