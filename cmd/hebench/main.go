@@ -17,9 +17,11 @@
 // comparison behind BENCH_schemes.json (hyaline-1r, hyaline and WFE
 // alongside the rest).
 //
-// Every domain runs a static configuration fixed at construction: the
-// paper's scan-per-retire threshold, plus, with -offload N, N background
-// reclaimers behind the derived (or -offload-watermark) watermark.
+// Every domain runs the default configuration: one scan per ScanR·H
+// retires since the last scan (H = sessions registered × slots; the
+// Equation-1 experiments run the paper's scan on every retire), plus, with
+// -offload N, N background reclaimers behind the derived (or
+// -offload-watermark) watermark.
 package main
 
 import (
@@ -45,7 +47,7 @@ func main() {
 		seed    = flag.Uint64("seed", 42, "PRNG seed")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		hold    = flag.Duration("hold", 0, "keep the -metrics endpoint alive this long after the experiments finish (so scrapers catch the final state)")
-		offWm   = flag.Int64("offload-watermark", 0, "offload backpressure watermark in pending bytes (0 = 8x the inline scan-threshold footprint)")
+		offWm   = flag.Int64("offload-watermark", 0, "offload backpressure watermark in pending bytes (0 = 8x the unscanned objects the inline scan trigger allows)")
 	)
 	envFlags := bench.RegisterEnvFlags(flag.CommandLine)
 	flag.Parse()

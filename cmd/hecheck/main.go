@@ -57,6 +57,7 @@ var (
 	flagOps       = flag.Int("ops", 8, "operations per worker per schedule")
 	flagSwitchPct = flag.Int("switchpct", 30, "token-switch probability at eligible gates (0..100)")
 	flagMaxSteps  = flag.Uint64("maxsteps", 1<<20, "schedule budget: gates per run before abort")
+	flagScanAt    = flag.Int("scan-threshold", 1, "domain suite: retires since the last scan that trigger one (1 = the paper's scan on every retire; 0 = each scheme's default ScanR·H rule)")
 	flagMutate    = flag.String("mutate", "", "arm a kill-check defect: skip-publish, invert-lifespan, short-scan (HE), hyaline-early-dec, wfe-skip-validate (domain suite only)")
 	flagVerbose   = flag.Bool("v", false, "print every combination, not only failures")
 )
@@ -330,6 +331,12 @@ func runDomainSeed(sch smr.Scheme, mutation *mutationSpec, seed uint64) []string
 		mem.WithFaultHandler[uint64](faults.record),
 	)
 	dom := sch.Factory()(arena, reclaim.Config{MaxThreads: workers + 1, Slots: 2})
+	// A scan on every retire by default, so every retire's scan meets the
+	// schedule and a kill-check's defect is reachable within its seed
+	// budget; -scan-threshold 0 checks the amortized trigger instead.
+	if t, ok := dom.(interface{ SetScanThreshold(int) }); ok && *flagScanAt > 0 {
+		t.SetScanThreshold(*flagScanAt)
+	}
 	// Schemes with an announce threshold (WFE) drop it to the minimum so
 	// every seeded schedule reaches the slow path and the helping protocol,
 	// not just the HE-shaped fast path. Armed before the mutation so a

@@ -21,6 +21,21 @@ func TestDomainSuiteClean(t *testing.T) {
 	}
 }
 
+// TestDomainSuiteCleanAmortized runs the same workload at every scheme's
+// default scan trigger (-scan-threshold 0) instead of a scan on every
+// retire, with enough writer operations that the writer scans mid-run.
+func TestDomainSuiteCleanAmortized(t *testing.T) {
+	defer func(at, ops int) { *flagScanAt, *flagOps = at, ops }(*flagScanAt, *flagOps)
+	*flagScanAt, *flagOps = 0, 20
+	for _, sch := range smr.Schemes() {
+		for seed := uint64(1); seed <= 3; seed++ {
+			if vs := runDomainSeed(sch, nil, seed); len(vs) != 0 {
+				t.Errorf("%s seed=%d: %v", sch, seed, vs)
+			}
+		}
+	}
+}
+
 // TestStructSuiteSmoke runs a spread of (structure, scheme) pairs through
 // the bounded linearizability workload. The full matrix runs in CI via the
 // hecheck binary; this keeps `go test ./...` fast while still exercising

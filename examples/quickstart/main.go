@@ -38,7 +38,10 @@ func main() {
 	}
 
 	// Remove + re-insert churns nodes through retire(): the old node is
-	// reclaimed as soon as no published era covers its lifetime.
+	// reclaimed by the session's next scan, which runs once per H retires
+	// (H = sessions registered × protection slots, here 1 × 3), since no
+	// published era covers its lifetime. The last retires may still wait
+	// for that scan below.
 	for i := 0; i < 1000; i++ {
 		l.Remove(g, 3)
 		l.Insert(g, 3, 300)

@@ -37,8 +37,8 @@ type apiNode struct {
 }
 
 // apiCfg mirrors the BenchmarkRetireScan configuration in internal/reclaim
-// (MaxThreads=16, Slots=3, ScanR=1) so the internal side reproduces the
-// BENCH_handles.json baseline.
+// (MaxThreads=16, Slots=3, ScanR=1) so both sides run the same scan
+// trigger.
 func apiCfg() reclaim.Config {
 	return reclaim.Config{MaxThreads: 16, Slots: 3, ScanR: 1}
 }

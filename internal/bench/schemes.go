@@ -92,9 +92,24 @@ func HPr(r int) Scheme {
 	}}
 }
 
-// HEr returns Hazard Eras with amortized batch scanning: a thread scans its
-// retired list only every r*MaxThreads*Slots retirements (this repo's
-// generalization of HP's §3.1 R factor to eras; see reclaim.Config.ScanR).
+// EveryRetire returns s with the paper's Algorithm 3 scan trigger, a scan
+// on every retire (SetScanThreshold(1)), in place of the default rule of
+// one scan per ScanR·issued·Slots retires.
+func EveryRetire(s Scheme) Scheme {
+	mk := s.Make
+	return Scheme{s.Name, func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
+		d := mk(a, c)
+		if t, ok := d.(interface{ SetScanThreshold(int) }); ok {
+			t.SetScanThreshold(1)
+		}
+		return d
+	}}
+}
+
+// HEr returns Hazard Eras with amortized batch scanning: a thread scans
+// once it has retired r*issued*Slots objects since its last scan (this
+// repo's generalization of HP's §3.1 R factor to eras; see
+// reclaim.Config.ScanR).
 func HEr(r int) Scheme {
 	return Scheme{"HE-R" + strconv.Itoa(r), func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
 		c.ScanR = r

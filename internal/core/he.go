@@ -258,11 +258,12 @@ func (d *Eras) publish(h *reclaim.Handle, index int, era uint64) {
 // Retire is the paper's retire() (Algorithm 3): stamp delEra, append to the
 // calling session's retired list, advance the eraClock (every k-th call
 // under k-advance) if no other thread already advanced it, then — once the
-// list reaches the scan threshold (every retire under the paper's default;
-// every R·T·S retires under Config.ScanR amortization) — scan the retired
-// list freeing every object whose lifetime no eras-in-use overlap.
-// Wait-free bounded: no retries, and the retired list is bounded by
-// Equation 1 of the paper (times R under amortization).
+// session's retires since its last scan reach the trigger (ScanR·H with
+// H = issued·Slots by default, see reclaim.Config.ScanR; every retire, as
+// in the paper, under SetScanThreshold(1)) — scan the retired list freeing
+// every object whose lifetime no eras-in-use overlap. Wait-free bounded: no
+// retries, and the retired list is bounded by Equation 1 of the paper plus
+// the ScanR·H retires not yet scanned.
 func (d *Eras) Retire(h *reclaim.Handle, ref mem.Ref) {
 	ref = ref.Unmarked()
 	currEra := d.eraClock.Load()

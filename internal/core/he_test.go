@@ -52,6 +52,7 @@ func TestOnAllocStampsBirthEra(t *testing.T) {
 func TestRetireUnprotectedFreesImmediately(t *testing.T) {
 	arena := testArena()
 	d := newHE(arena, 2, 3)
+	d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 	h := d.Register()
 	ref, _ := arena.Alloc()
 	d.OnAlloc(ref)
@@ -200,6 +201,7 @@ func TestReaderBlocksReclamationOfCoveredLifetime(t *testing.T) {
 func TestFig2Scenario(t *testing.T) {
 	arena := testArena()
 	d := newHE(arena, 4, 3)
+	d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 	reader := d.Register()
 	writer := d.Register()
 
@@ -257,6 +259,7 @@ func TestFig2Scenario(t *testing.T) {
 func TestStalledReaderDoesNotBlockNewReclamation(t *testing.T) {
 	arena := testArena()
 	d := newHE(arena, 4, 3)
+	d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 	reader := d.Register()
 	writer := d.Register()
 
@@ -333,6 +336,7 @@ func TestKAdvanceOneIsDefaultBehaviour(t *testing.T) {
 func TestMinMaxModeProtectsRange(t *testing.T) {
 	arena := testArena()
 	d := newHE(arena, 2, 4, WithMinMax(true))
+	d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 	if d.Name() != "HE-minmax" {
 		t.Fatalf("Name = %q", d.Name())
 	}
@@ -416,6 +420,7 @@ func TestMinMaxClearPublishesNone(t *testing.T) {
 func TestEraClockNearOverflow(t *testing.T) {
 	arena := testArena()
 	d := newHE(arena, 2, 3)
+	d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 	h := d.Register()
 	d.SetEraClock(math.MaxUint64 - 2)
 	ref, _ := arena.Alloc()
@@ -438,6 +443,7 @@ func TestEraClockNearOverflow(t *testing.T) {
 func TestEquation1BoundUnderChurn(t *testing.T) {
 	arena := testArena()
 	d := newHE(arena, 4, 3)
+	d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 	reader := d.Register()
 	writer := d.Register()
 

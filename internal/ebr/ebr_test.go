@@ -55,6 +55,7 @@ func TestProtectIsPlainLoad(t *testing.T) {
 func TestReclaimAfterGracePeriod(t *testing.T) {
 	arena := testArena()
 	d := newEBR(arena, 2)
+	d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 	h := d.Register()
 	// With no active readers each Retire advances the epoch once; an object
 	// retired at epoch e frees once global >= e+2, i.e. two retires later.
@@ -133,6 +134,7 @@ func TestStalledReaderGrowsUnbounded(t *testing.T) {
 func TestQuiescentReaderDoesNotPin(t *testing.T) {
 	arena := testArena()
 	d := newEBR(arena, 2)
+	d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 	reader := d.Register()
 	writer := d.Register()
 	d.BeginOp(reader)

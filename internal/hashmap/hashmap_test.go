@@ -186,3 +186,25 @@ func TestConcurrentChurnAllSchemes(t *testing.T) {
 		})
 	}
 }
+
+// TestUpdateAllocatesNothing: the map's word-mode Remove+Insert, the
+// heperf churn step, makes no Go-heap allocation.
+func TestUpdateAllocatesNothing(t *testing.T) {
+	m := New(factories()["HE"], WithMaxThreads(4), WithBuckets(64))
+	g := m.Register()
+	for k := uint64(0); k < 256; k++ {
+		m.Insert(g, k, k)
+	}
+	k := uint64(0)
+	update := func() {
+		k = (k + 13) % 256
+		m.Remove(g, k)
+		m.Insert(g, k, k)
+	}
+	for i := 0; i < 4096; i++ {
+		update()
+	}
+	if avg := testing.AllocsPerRun(1000, update); avg != 0 {
+		t.Errorf("map Remove+Insert allocates %.2f objects/op, want 0", avg)
+	}
+}

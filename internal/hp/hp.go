@@ -33,13 +33,12 @@ const nonePtr = 0
 // Option configures the Hazard Pointers domain.
 type Option func(*Pointers)
 
-// WithScanThreshold sets the R factor as an absolute retired-list length:
-// the list is scanned once its length reaches r. r=1 (the default) scans on
-// every Retire, matching both the paper's memory-bound analysis ("when the
-// R factor is set to the lowest setting of 1 ...", §3.1) and Hazard Eras'
-// scan-per-retire, so the two schemes do comparable reclamation work per
-// retire. The relative form (threshold = R·MaxThreads·Slots) is available
-// through reclaim.Config.ScanR.
+// WithScanThreshold sets the R factor as an absolute count: a session scans
+// once it has retired r objects since its last scan. r=1 scans on every
+// Retire, the paper's memory-bound setting ("when the R factor is set to
+// the lowest setting of 1 ...", §3.1). Without it the domain follows the
+// relative rule every scheme shares: a scan per ScanR·issued·Slots retires
+// (reclaim.Config.ScanR).
 func WithScanThreshold(r int) Option {
 	return func(d *Pointers) {
 		if r > 0 {

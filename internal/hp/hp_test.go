@@ -81,7 +81,8 @@ func TestProtectCostIsTwoLoadsOneStore(t *testing.T) {
 
 func TestRetireUnprotectedFreesAtThreshold(t *testing.T) {
 	arena := testArena()
-	d := newHP(arena, 2, 3) // default R=1: scan every retire
+	d := newHP(arena, 2, 3)
+	d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 	h := d.Register()
 	ref, _ := arena.Alloc()
 	d.Retire(h, ref)
@@ -111,6 +112,7 @@ func TestScanThresholdDefersScan(t *testing.T) {
 func TestProtectedObjectSurvivesScan(t *testing.T) {
 	arena := testArena()
 	d := newHP(arena, 2, 3)
+	d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 	reader := d.Register()
 	writer := d.Register()
 
@@ -137,6 +139,7 @@ func TestProtectedObjectSurvivesScan(t *testing.T) {
 func TestStalledReaderPinsExactlyOneObject(t *testing.T) {
 	arena := testArena()
 	d := newHP(arena, 4, 3)
+	d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 	reader := d.Register()
 	writer := d.Register()
 
@@ -227,6 +230,7 @@ func TestMemoryBoundIsPublishedPointers(t *testing.T) {
 	arena := testArena()
 	const readers, slots = 4, 3
 	d := New(arena, reclaim.Config{MaxThreads: readers + 1, Slots: slots})
+	d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 	writer := d.Register()
 
 	// Each reader pins `slots` distinct nodes.

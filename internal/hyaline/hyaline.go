@@ -393,9 +393,9 @@ func (d *Domain) Protect(h *reclaim.Handle, index int, src *atomic.Uint64) mem.R
 
 // Retire stamps the death era, accumulates the object on the session's
 // retired list, advances the clock per the advance frequency (feeding the
-// robust filter), and seals-and-distributes once the list reaches the scan
-// threshold — the batch size. No registry snapshot, no protection test:
-// distribution is the whole reclamation step.
+// robust filter), and seals-and-distributes once the session's retires since
+// its last seal reach the scan trigger — the batch size. No registry
+// snapshot, no protection test: distribution is the whole reclamation step.
 func (d *Domain) Retire(h *reclaim.Handle, ref mem.Ref) {
 	ref = ref.Unmarked()
 	currEra := d.eraClock.Load()

@@ -54,6 +54,7 @@ func TestBeginOpActivates(t *testing.T) {
 func TestRetireOutsideOpFreesImmediately(t *testing.T) {
 	arena := testArena()
 	d := newHyaline(arena, 2)
+	d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 	h := d.Register()
 	for i := 0; i < 10; i++ {
 		ref, _ := arena.Alloc()
@@ -71,6 +72,7 @@ func TestRetireOutsideOpFreesImmediately(t *testing.T) {
 func TestActiveReaderHoldsBatch(t *testing.T) {
 	arena := testArena()
 	d := newHyaline(arena, 2)
+	d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 	reader := d.Register()
 	writer := d.Register()
 
@@ -107,6 +109,7 @@ func TestActiveReaderHoldsBatch(t *testing.T) {
 func TestBeginOpDrainsStrandedHandoff(t *testing.T) {
 	arena := testArena()
 	d := newHyaline(arena, 2)
+	d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 	reader := d.Register()
 	writer := d.Register()
 
@@ -179,6 +182,7 @@ func TestRobustFilterSkipsStalledReader(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			arena := testArena()
 			d := newHyaline(arena, 4, tc.opts...)
+			d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 			stalled := d.Register()
 			writer := d.Register()
 
@@ -260,6 +264,7 @@ func TestEarlyDecRefMutantFreesUnderHolder(t *testing.T) {
 		mem.WithFaultHandler[tnode](func(msg string) { faults = append(faults, msg) }),
 	)
 	d := newHyaline(arena, 4)
+	d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 	d.EnableMutation(MutEarlyDecRef)
 	r1, r2 := d.Register(), d.Register()
 	writer := d.Register()
@@ -290,8 +295,9 @@ func TestEarlyDecRefMutantFreesUnderHolder(t *testing.T) {
 // accumulates to the threshold before one batch is sealed.
 func TestScanThresholdBatches(t *testing.T) {
 	arena := testArena()
-	d := New(arena, reclaim.Config{MaxThreads: 2, Slots: 2, ScanR: 2}) // threshold 8
+	d := New(arena, reclaim.Config{MaxThreads: 2, Slots: 2, ScanR: 2})
 	h := d.Register()
+	d.Register() // two sessions issued: threshold R·issued·Slots = 2·2·2 = 8
 	for i := 0; i < 7; i++ {
 		ref, _ := arena.Alloc()
 		d.OnAlloc(ref)

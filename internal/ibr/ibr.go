@@ -147,9 +147,9 @@ func (d *Domain) Protect(h *reclaim.Handle, index int, src *atomic.Uint64) mem.R
 }
 
 // Retire stamps the death era, advances the clock per the epoch frequency,
-// and scans once the retired list reaches the threshold (every retire by
-// default; every R·T·S retires under Config.ScanR) — identical structure to
-// HE's Algorithm 3.
+// and scans once the session's retires since its last scan reach the
+// trigger (ScanR·issued·Slots by default; see reclaim.Config.ScanR) —
+// identical structure to HE's Algorithm 3.
 func (d *Domain) Retire(h *reclaim.Handle, ref mem.Ref) {
 	ref = ref.Unmarked()
 	currEra := d.eraClock.Load()

@@ -90,6 +90,7 @@ func TestSingleIntervalCoversAllIndices(t *testing.T) {
 func TestRetireUnprotectedFrees(t *testing.T) {
 	arena := testArena()
 	d := newIBR(arena, 2)
+	d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 	h := d.Register()
 	ref, _ := arena.Alloc()
 	d.OnAlloc(ref)
@@ -130,6 +131,7 @@ func TestIntervalOverlapPins(t *testing.T) {
 func TestStalledReaderIsBounded(t *testing.T) {
 	arena := testArena()
 	d := newIBR(arena, 4)
+	d.SetScanThreshold(1) // Algorithm 3: scan on every retire
 	reader := d.Register()
 	writer := d.Register()
 

@@ -77,15 +77,16 @@ const (
 // prev is the cell whose CAS links/unlinks at the position, curr the
 // (unmarked) ptr read from prev, and next the raw successor word of curr.
 // Marked nodes encountered on the way are helped off the list; their refs
-// are appended to *unlinked for the caller to retire after EndOp (deferring
-// retirement keeps URCU's blocking synchronize out of the read-side
-// critical section).
+// are appended to unlinked, returned as out, for the caller to retire after
+// EndOp (deferring retirement keeps URCU's blocking synchronize out of the
+// read-side critical section). The slice goes in and out by value, so a
+// caller's stack buffer stays on the stack.
 //
 // Protection invariant at every point: prev's node (when not head) is
 // protected at slot ip, curr at ic, next at in, and the word loaded from
 // prev is compared for identity — any unlink OR logical deletion of prev's
 // node changes that word and forces a restart.
-func (o *Ops) find(head *smr.Atomic[Node], g *smr.Guard, key uint64, unlinked *[]smr.Ref) (found bool, prev *smr.Atomic[Node], curr, next smr.Ptr[Node]) {
+func (o *Ops) find(head *smr.Atomic[Node], g *smr.Guard, key uint64, unlinked []smr.Ref) (found bool, prev *smr.Atomic[Node], curr, next smr.Ptr[Node], out []smr.Ref) {
 	d := o.D
 retry:
 	for {
@@ -94,7 +95,7 @@ retry:
 		curr = head.Load(g, ic)
 		for {
 			if curr.IsNil() {
-				return false, prev, smr.Ptr[Node]{}, smr.Ptr[Node]{}
+				return false, prev, smr.Ptr[Node]{}, smr.Ptr[Node]{}, unlinked
 			}
 			// The head cell is never marked; interior prev cells were
 			// validated unmarked when adopted, so curr is unmarked here.
@@ -110,14 +111,14 @@ retry:
 				if !prev.CompareAndSwap(curr, target) {
 					continue retry
 				}
-				*unlinked = append(*unlinked, curr.Ref())
+				unlinked = append(unlinked, curr.Ref())
 				// next (now curr) keeps its protection at in; recycle ic.
 				ic, in = in, ic
 				curr = target
 				continue
 			}
 			if cn.Key >= key {
-				return cn.Key == key, prev, curr, next
+				return cn.Key == key, prev, curr, next, unlinked
 			}
 			prev = &cn.Next
 			// Advance: curr becomes the prev node (protection ic -> role
@@ -162,7 +163,8 @@ func (o *Ops) allocPayload(g *smr.Guard, key, val uint64, raw []byte) smr.Bytes 
 
 func (o *Ops) insert(head *smr.Atomic[Node], g *smr.Guard, key, val uint64, raw []byte) bool {
 	d := o.D
-	var unlinked []smr.Ref
+	var buf [4]smr.Ref // helped-off refs; grows to the heap only past four
+	unlinked := buf[:0]
 	g.BeginOp()
 
 	var newPtr smr.Ptr[Node]
@@ -170,7 +172,8 @@ func (o *Ops) insert(head *smr.Atomic[Node], g *smr.Guard, key, val uint64, raw 
 	var newNode *Node
 	ok := false
 	for {
-		found, prev, curr, _ := o.find(head, g, key, &unlinked)
+		found, prev, curr, _, more := o.find(head, g, key, unlinked)
+		unlinked = more
 		if found {
 			if !newPtr.IsNil() {
 				// Never published: direct frees are safe. Payload first,
@@ -215,12 +218,14 @@ func (o *Ops) insert(head *smr.Atomic[Node], g *smr.Guard, key, val uint64, raw 
 // present. The deleting thread marks the node; whichever thread physically
 // unlinks it (this one, or a helping traversal) retires it exactly once.
 func (o *Ops) Remove(head *smr.Atomic[Node], g *smr.Guard, key uint64) bool {
-	var unlinked []smr.Ref
+	var buf [4]smr.Ref // helped-off refs; grows to the heap only past four
+	unlinked := buf[:0]
 	g.BeginOp()
 
 	ok := false
 	for {
-		found, prev, curr, next := o.find(head, g, key, &unlinked)
+		found, prev, curr, next, more := o.find(head, g, key, unlinked)
+		unlinked = more
 		if !found {
 			break
 		}

@@ -440,3 +440,27 @@ func FuzzListModel(f *testing.F) {
 		}
 	})
 }
+
+// TestUpdateAllocatesNothing pins the word-mode update path to zero Go-heap
+// allocations per Remove+Insert: the helped-off refs collect in a stack
+// buffer that find passes back by value, and nodes come from the arena.
+func TestUpdateAllocatesNothing(t *testing.T) {
+	l := New(factories()["HE"], WithMaxThreads(4))
+	g := l.Register()
+	for k := uint64(0); k < 64; k++ {
+		l.Insert(g, k, k)
+	}
+	k := uint64(0)
+	update := func() {
+		k = (k + 7) % 64
+		l.Remove(g, k)
+		l.Insert(g, k, k)
+	}
+	for i := 0; i < 4096; i++ { // retired lists and magazines reach capacity
+		update()
+	}
+	if avg := testing.AllocsPerRun(1000, update); avg != 0 {
+		t.Errorf("list Remove+Insert allocates %.2f objects/op, want 0\n"+
+			"(inspect with: go build -gcflags='-m=1' ./internal/list 2>&1 | grep escape)", avg)
+	}
+}

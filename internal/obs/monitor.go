@@ -18,8 +18,8 @@ import (
 // Invariants watched per domain:
 //
 //   - pending-budget: PendingBytes exceeds the domain's Equation-1 budget
-//     (installed by reclaim wiring as a function of ScanR, threads, slots
-//     and the arena slot footprint).
+//     (installed by reclaim wiring as a function of ScanR, the sessions
+//     registered so far, slots and the arena slot footprint).
 //   - era-stall: at least one session pins an era older than the stall
 //     threshold (the Figure-4 stalled-reader signature).
 //   - reclaim-age-p99: the retire→free latency p99 from the lifecycle

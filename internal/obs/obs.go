@@ -32,7 +32,7 @@
 // enabled overhead stays a small fraction of the ~50ns retire path while the
 // histograms still converge on the latency distribution. Scan events and
 // batch frees are recorded unconditionally — scans are already amortized to
-// one per ScanR·threads·slots retires.
+// one per ScanR·issued sessions·slots retires.
 //
 // The package depends only on the standard library, so reclaim (and through
 // it every scheme) can import it without cycles; striping mirrors the

@@ -59,7 +59,11 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestDequeueRetiresDummies(t *testing.T) {
-	q := heQueue(t)
+	q := New(func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
+		d := core.New(a, c)
+		d.SetScanThreshold(1) // Algorithm 3: scan on every retire
+		return d
+	}, WithChecked(true), WithMaxThreads(16))
 	h := q.Register()
 	for i := uint64(0); i < 50; i++ {
 		q.Enqueue(h, i)

@@ -20,13 +20,16 @@ type Config struct {
 	// Slots is the number of protection indices per session (the paper's
 	// maxHEs / maxHPs; the Maged-Harris list needs 3).
 	Slots int
-	// ScanR is the amortization factor for batch-triggered scanning
-	// (Michael's R factor generalized to eras): a session scans its retired
-	// list only once the list holds more than ScanR*MaxThreads*Slots
-	// objects, making Retire O(1) amortized. Zero (the default) keeps the
-	// paper's Algorithm 3 behaviour of scanning on every retire. Raising R
-	// multiplies the Equation 1 memory bound by R but divides the scan
-	// frequency by R*MaxThreads*Slots.
+	// ScanR is the amortization factor of the scan trigger (Michael's
+	// R = H + Ω(H) rule generalized to eras): a session scans once it has
+	// retired ScanR·H objects since its last scan, where H = issued·Slots
+	// counts the protection cells of every session id handed out so far,
+	// read live from the registry. Zero means 1. Counting retires since the
+	// last scan, not the list's length, keeps survivors a stalled reader
+	// pins from re-triggering a scan. Each session then holds at most
+	// ScanR·H unscanned objects plus the ones published cells pin.
+	// Base.SetScanThreshold replaces the rule with an absolute count; 1 is
+	// the paper's Algorithm 3, a scan on every retire.
 	ScanR int
 	// Instrument, when non-nil, enables reader-side atomic-op counting.
 	Instrument *Instrument
@@ -112,10 +115,12 @@ type Base struct {
 	wordsPerSlot int
 	initWord     uint64
 
-	// scanThreshold is the retired-list length at which the owning session
-	// must run a scan; 1 reproduces the paper's scan-per-retire Retire.
-	// Written only during construction (NewBase, SetScanThreshold).
+	// scanThreshold, when positive, is the absolute number of retires since
+	// its last scan at which a session scans (SetScanThreshold); 0 applies
+	// the live rule scanPer·issued. Both are written only during
+	// construction (NewBase, SetScanThreshold).
 	scanThreshold int
+	scanPer       int // ScanR·Slots: the rule's retires per issued session
 
 	// Retire/free/scan counters are striped by session id so the hot paths
 	// touch only their own cache line; Sum folds them on demand.
@@ -268,19 +273,7 @@ func (b *Base) EnableObs(d *obs.Domain) {
 		d.SetOffloadSource(o.stats)
 		d.AddSchemeSource(o.schemeMetrics)
 	}
-	// Equation-1-style pending budget for the health monitor: the inline
-	// bound tolerates up to scanThreshold unscanned retires per session plus
-	// the objects the published slots can pin, doubled for fold skew, plus
-	// whatever the offload pipeline is allowed to hold at its watermark.
-	// Engineering headroom, not the paper's exact constant — the monitor
-	// wants "pending grew past anything the parameters explain", and the
-	// stalled-reader runaway crosses any fixed multiple.
-	obj := b.classBytes[0]
-	budget := 2 * obj * int64(b.Cfg.MaxThreads) * int64(b.scanThreshold+2*b.Cfg.Slots)
-	if o := b.off; o != nil {
-		budget += o.watermark
-	}
-	d.SetBudget(budget)
+	b.fitRegistry(int(b.issued.Load()))
 	if tr := d.Tracer(); tr != nil {
 		b.tracer = tr
 		// The arena is the true allocation point (OnAlloc is publish, not
@@ -330,10 +323,6 @@ func (b *Base) TraceAlloc(ref mem.Ref, birthEra uint64) {
 // the slot is unregistered, pooled, or outside a critical section.
 func NewBase(alloc Allocator, cfg Config, wordsPerSlot int, initWord uint64) (b Base) {
 	cfg = cfg.Defaulted()
-	threshold := 1
-	if cfg.ScanR > 0 {
-		threshold = cfg.ScanR * cfg.MaxThreads * cfg.Slots
-	}
 	sharded, _ := alloc.(shardedAllocator)
 	first := newSlotBlock(0, cfg.MaxThreads, wordsPerSlot, initWord)
 	// Resolve the byte-accounting mode: heterogeneous footprints (an arena
@@ -386,8 +375,8 @@ func NewBase(alloc Allocator, cfg Config, wordsPerSlot int, initWord uint64) (b 
 		// The offloader is heap-allocated and holds no *Base (workers
 		// resolve the domain lazily at the first handoff), so the Base
 		// value the caller embeds shares it safely.
-		off:           newOffloader(cfg.Offload, alloc, threshold, cfg.MaxThreads, classBytes),
-		scanThreshold: threshold,
+		off:     newOffloader(cfg.Offload, alloc, classBytes),
+		scanPer: max(cfg.ScanR, 1) * cfg.Slots,
 	}
 	return
 }
@@ -443,6 +432,7 @@ func (b *Base) Register() *Handle {
 		b.tailUsed++
 		// After any growth's publication, before the session can act.
 		b.issued.Store(int64(s.id + 1))
+		b.fitRegistry(s.id + 1)
 	}
 	b.active.Add(1)
 	b.mu.Unlock()
@@ -504,19 +494,21 @@ func (b *Base) Acquire() *Handle {
 // session in the pool for Acquire. The retired list stays with the slot; a
 // future owner's scans will drain it, and DrainAll reaches it regardless.
 //
-// The owner-only scratch (Held, Lo/Hi, RetireCount) is cleared here, not
-// left for the next Acquire: EndOp resets the *published* cells but not
-// their owner-side mirrors, and a stale mirror poisons the next session —
-// an HE min/max envelope would extend protection to eras the new owner
-// never held, and a leftover RetireCount skews its k-advance cadence. This
-// matches Register, whose fresh handles start zeroed.
+// The owner-only scratch (Held, Lo/Hi, RetireCount, the retires since the
+// last scan) is cleared here, not left for the next Acquire: EndOp resets
+// the *published* cells but not their owner-side mirrors, and a stale
+// mirror poisons the next session — an HE min/max envelope would extend
+// protection to eras the new owner never held, a leftover RetireCount
+// skews its k-advance cadence, and a leftover retire count would scan
+// before the new owner's H-th retire. This matches Register, whose fresh
+// handles start zeroed.
 func (b *Base) Release(h *Handle) {
 	b.Dom.EndOp(h)
 	for i := range h.Held {
 		h.Held[i] = 0
 	}
 	h.Lo, h.Hi = 0, 0
-	h.RetireCount = 0
+	h.RetireCount, h.unscanned = 0, 0
 	h.probe.event(obs.EvRelease)
 	b.mu.Lock()
 	b.pool = append(b.pool, h)
@@ -550,15 +542,42 @@ func (b *Base) Capacity() int {
 	return b.total
 }
 
-// SetScanThreshold sets the scan-trigger length directly, overriding the
-// ScanR derivation (values below 1 mean 1). Construction time only, before
-// the first Register: scheme options with absolute semantics
+// SetScanThreshold replaces the ScanR rule with an absolute trigger: a
+// session scans once it has retired n objects since its last scan (values
+// below 1 mean 1, the paper's scan on every retire). Construction time
+// only, before the first Register: scheme options with absolute semantics
 // (hp.WithScanThreshold) call it from the scheme constructor.
 func (b *Base) SetScanThreshold(n int) {
-	if n < 1 {
-		n = 1
+	b.scanThreshold = max(n, 1)
+}
+
+// scanBatch is the number of retires since its last scan at which a
+// session scans when n session ids have been issued.
+func (b *Base) scanBatch(n int) int {
+	if b.scanThreshold > 0 {
+		return b.scanThreshold
 	}
-	b.scanThreshold = n
+	return b.scanPer * n
+}
+
+// fitRegistry re-derives, for n issued session ids, the limits that scale
+// with the registry: the offload watermark (unless configured) and the
+// health monitor's Equation-1 pending budget. Register calls it whenever
+// the count grows. The budget tolerates every session's scanBatch(n)
+// unscanned retires plus the objects its published slots can pin, doubled
+// for fold skew, plus what the offload pipeline may hold at its
+// watermark. Engineering headroom, not the paper's exact constant: the
+// monitor wants "pending grew past anything the parameters explain", and
+// the stalled-reader runaway crosses any fixed multiple.
+func (b *Base) fitRegistry(n int) {
+	batch := int64(b.scanBatch(n))
+	var held int64
+	if o := b.off; o != nil {
+		held = o.fit(batch * int64(n))
+	}
+	if d := b.obsDom; d != nil && n > 0 {
+		d.SetBudget(2*b.classBytes[0]*int64(n)*(batch+2*int64(b.Cfg.Slots)) + held)
+	}
 }
 
 // observePeak folds retired-freed and raises the high-water mark. Same

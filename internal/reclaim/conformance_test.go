@@ -32,9 +32,9 @@ const threads = 8
 
 func domains() map[string]func(alloc reclaim.Allocator) reclaim.Domain {
 	cfg := reclaim.Config{MaxThreads: threads, Slots: 2}
-	// cfgR enables amortized batch scanning (threshold 2*8*2 = 32 retires)
-	// so every conformance property is also exercised with thresholded
-	// scans and drain-on-unregister in play.
+	// cfgR doubles the default amortized batch (threshold 2*issued*2
+	// retires since the last scan) so every conformance property is also
+	// exercised with larger batches and drain-on-unregister in play.
 	cfgR := reclaim.Config{MaxThreads: threads, Slots: 2, ScanR: 2}
 	return map[string]func(alloc reclaim.Allocator) reclaim.Domain{
 		"HE":        func(a reclaim.Allocator) reclaim.Domain { return core.New(a, cfg) },
@@ -202,7 +202,9 @@ func TestConformanceRetireCountsMatchFrees(t *testing.T) {
 }
 
 // thresholdDomains are the era/pointer schemes wired to Config.ScanR, with
-// the resulting absolute scan threshold (ScanR * MaxThreads * Slots).
+// the scan threshold each issued session adds (ScanR * Slots): a session
+// scans once it has retired ScanR * issued * Slots objects since its last
+// scan.
 func thresholdDomains(r int) (map[string]func(alloc reclaim.Allocator) reclaim.Domain, int) {
 	cfg := reclaim.Config{MaxThreads: threads, Slots: 2, ScanR: r}
 	return map[string]func(alloc reclaim.Allocator) reclaim.Domain{
@@ -210,7 +212,7 @@ func thresholdDomains(r int) (map[string]func(alloc reclaim.Allocator) reclaim.D
 		"HE-minmax": func(a reclaim.Allocator) reclaim.Domain { return core.New(a, cfg, core.WithMinMax(true)) },
 		"HP":        func(a reclaim.Allocator) reclaim.Domain { return hp.New(a, cfg) },
 		"IBR":       func(a reclaim.Allocator) reclaim.Domain { return ibr.New(a, cfg) },
-	}, r * threads * 2
+	}, r * 2
 }
 
 // TestConformanceNoScanBelowThreshold: with ScanR set, retiring fewer
@@ -218,13 +220,17 @@ func thresholdDomains(r int) (map[string]func(alloc reclaim.Allocator) reclaim.D
 // of amortization), and the retire crossing the threshold must scan and —
 // with nothing protected — reclaim the entire batch.
 func TestConformanceNoScanBelowThreshold(t *testing.T) {
-	doms, threshold := thresholdDomains(1)
+	doms, perSession := thresholdDomains(1)
+	threshold := perSession * threads // every initial slot issued below
 	for name, mk := range doms {
 		t.Run(name, func(t *testing.T) {
 			arena := mem.NewArena[cnode](mem.Checked[cnode](true))
 			d := mk(arena)
 			h := d.Register()
 			defer d.Unregister(h)
+			for i := 1; i < threads; i++ {
+				defer d.Unregister(d.Register())
+			}
 
 			for i := 0; i < threshold-1; i++ {
 				ref, _ := arena.Alloc()
@@ -255,7 +261,7 @@ func TestConformanceNoScanBelowThreshold(t *testing.T) {
 // scan, so with nothing protected everything is reclaimed immediately, no
 // Drain needed.
 func TestConformanceUnregisterDrainsRetiredList(t *testing.T) {
-	doms, threshold := thresholdDomains(1)
+	doms, threshold := thresholdDomains(1) // one session issued
 	for name, mk := range doms {
 		t.Run(name, func(t *testing.T) {
 			arena := mem.NewArena[cnode](mem.Checked[cnode](true))
@@ -282,7 +288,8 @@ func TestConformanceUnregisterDrainsRetiredList(t *testing.T) {
 // use-after-free) and move to the orphan pool, from which the next
 // scanning thread adopts and eventually frees them.
 func TestConformanceUnregisterHandsOffProtected(t *testing.T) {
-	doms, threshold := thresholdDomains(1)
+	doms, perSession := thresholdDomains(1)
+	threshold := perSession * 2 // reader and writer issued
 	for name, mk := range doms {
 		t.Run(name, func(t *testing.T) {
 			arena := mem.NewArena[cnode](mem.Checked[cnode](true))

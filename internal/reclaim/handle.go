@@ -167,6 +167,10 @@ type Handle struct {
 	// RetireCount counts Retire calls for k-advance / advance-every-k.
 	RetireCount uint64
 
+	// unscanned counts this session's retires since its last scan pass
+	// (adopted orphans included); ScanDue compares it with the trigger.
+	unscanned int
+
 	retStripe  *atomicx.PaddedInt64
 	freeStripe *atomicx.PaddedInt64
 	scanStripe *atomicx.PaddedInt64
@@ -298,6 +302,7 @@ func (h *Handle) PushRetired(ref mem.Ref) {
 	schedtest.Point(schedtest.PointRetire)
 	rl := &h.slot.rl.retiredListState
 	rl.refs = append(rl.refs, ref.Unmarked())
+	h.unscanned++
 	h.retStripe.Add(1)
 	if h.retBytesStripe != nil {
 		h.retBytesStripe.Add(h.base.refBytes(ref))
@@ -323,11 +328,15 @@ func (h *Handle) NoteRetired(ref mem.Ref) {
 	}
 }
 
-// ScanDue reports whether the session's retired list has reached the scan
-// threshold. Schemes call it after PushRetired; with the default threshold
-// of one this is true after every retire, reproducing Algorithm 3.
+// ScanDue reports whether the session has retired enough objects since its
+// last scan pass to run one: ScanR·issued·Slots by default (see
+// Config.ScanR), or the SetScanThreshold count, where 1 reproduces
+// Algorithm 3's scan on every retire. Schemes call it after PushRetired.
+// Survivors a scan leaves on the list do not count, so a reader pinning
+// them cannot make every retire scan again.
 func (h *Handle) ScanDue() bool {
-	return len(h.slot.rl.refs) >= h.base.scanThreshold
+	b := h.base
+	return h.unscanned >= b.scanBatch(int(b.issued.Load()))
 }
 
 // Retired returns the session's retired list for in-place scanning. The
@@ -450,14 +459,16 @@ func (h *Handle) ObsNow() int64 {
 	return 0
 }
 
-// NoteScan records one reclamation pass over a retired list and folds the
-// striped counters into the pending high-water mark. Scans sample the peak
-// immediately after the pushes that triggered them, preserving the
-// PeakPending semantics the scan-per-retire implementation had. With
+// NoteScan records one reclamation pass over a retired list, restarts the
+// ScanDue count and folds the striped counters into the pending high-water
+// mark. Scans sample the peak immediately after the pushes that triggered
+// them, preserving the PeakPending semantics the scan-per-retire
+// implementation had. With
 // observability attached it also opens the scan bracket: timestamp and a
 // zeroed free count for NoteScanEnd, plus an EvScanStart event carrying
 // the candidate count. Scans are amortized-rare, so these are unsampled.
 func (h *Handle) NoteScan() {
+	h.unscanned = 0
 	h.scanStripe.Add(1)
 	h.base.observePeak()
 	if p := h.probe; p != nil && p.ring != nil {
@@ -485,7 +496,10 @@ func (h *Handle) NoteScanEnd() {
 // scan, so a departing session's still-protected leftovers are adopted
 // (and eventually freed) by whichever session scans next instead of
 // leaking.
-func (h *Handle) Abandon() { h.base.abandon(h.slot) }
+func (h *Handle) Abandon() {
+	h.unscanned = 0
+	h.base.abandon(h.slot)
+}
 
 // AdoptOrphans moves any abandoned objects into the session's retired list
 // so the scan about to run tests them too. The empty-pool fast path is one
@@ -501,6 +515,7 @@ func (h *Handle) AdoptOrphans() {
 	b.orphanLoad.Store(0)
 	b.orphanMu.Unlock()
 	h.slot.rl.refs = append(h.slot.rl.refs, adopted...)
+	h.unscanned += len(adopted) // new to this list: they count as retires
 }
 
 // ---- probe hooks (one untaken branch each when the session has no probe) -

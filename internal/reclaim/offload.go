@@ -15,8 +15,8 @@ import (
 // This file implements the background reclamation offload: an opt-in
 // per-domain pipeline that takes scan+free work off application threads.
 //
-// The retire path's remaining cost after amortization (PR 1) is the scan
-// itself: every scanThreshold-th retire stalls its caller for a full
+// The retire path's remaining cost after amortization is the scan itself:
+// the retire that trips the scan trigger stalls its caller for a full
 // sorted-snapshot walk plus a batch of frees. With offload enabled, that
 // session instead hands its full retired batch to a background reclaimer
 // through a lock-free MPSC segment queue and returns immediately; N worker
@@ -54,9 +54,10 @@ import (
 // itself would hold, so the paper's Equation 1 bound degrades to a
 // configurable factor of itself rather than growing without bound when the
 // reclaimer lags. The
-// default watermark is offWatermarkMultiple × the Equation 1 scan threshold
-// × MaxThreads × the arena slot size. The worker count and the watermark
-// are fixed at construction.
+// default watermark is offWatermarkMultiple × the unscanned objects the
+// inline scan trigger lets every issued session hold (scan batch × issued
+// sessions) × the arena slot size, re-derived as sessions register; a
+// configured watermark and the worker count are fixed at construction.
 //
 // # Shutdown
 //
@@ -77,8 +78,8 @@ type OffloadConfig struct {
 	// WatermarkBytes is the backpressure threshold: when the bytes queued
 	// for background reclamation (summed per ref from the allocator's
 	// class-aware footprints) reach it, TryOffload fails and the retiring
-	// session scans inline. 0 derives offWatermarkMultiple × scan threshold ×
-	// MaxThreads × slot bytes.
+	// session scans inline. 0 derives offWatermarkMultiple × scan batch ×
+	// issued sessions × slot bytes, following the registry as it grows.
 	WatermarkBytes int64
 }
 
@@ -152,9 +153,12 @@ func (q *offStack) detach() *offSegment { return q.head.Swap(nil) }
 
 // offloader is the per-domain background reclamation state, owned by Base.
 type offloader struct {
-	// workers and watermark are fixed at construction (see OffloadConfig).
+	// workers is fixed at construction, and so is watermark when
+	// configured. Otherwise slotBytes is positive and Base.fitRegistry
+	// re-derives the watermark from it whenever the issued count grows.
 	workers   int
-	watermark int64
+	slotBytes int64
+	watermark atomic.Int64
 
 	// parked counts workers blocked on their notify channel. A parked
 	// worker is headroom, not load: obs.Monitor's offload-saturation
@@ -195,7 +199,7 @@ type offloader struct {
 
 // newOffloader builds the pipeline state (no goroutines yet). Returns nil
 // when cfg disables offloading.
-func newOffloader(cfg OffloadConfig, alloc Allocator, scanThreshold, maxThreads int, classBytes [mem.NumClasses]int64) *offloader {
+func newOffloader(cfg OffloadConfig, alloc Allocator, classBytes [mem.NumClasses]int64) *offloader {
 	if cfg.Workers <= 0 {
 		return nil
 	}
@@ -203,27 +207,33 @@ func newOffloader(cfg OffloadConfig, alloc Allocator, scanThreshold, maxThreads 
 	// — Equation 1 is stated in nodes, and the typed class is what
 	// structures retire at threshold cadence — while the queued-bytes gauge
 	// itself is class-aware via classBytes.
-	watermark := cfg.WatermarkBytes
-	if watermark <= 0 {
-		slotBytes := int64(1)
-		if sb, ok := alloc.(interface{ SlotBytes() uintptr }); ok {
-			if n := int64(sb.SlotBytes()); n > 0 {
-				slotBytes = n
-			}
-		}
-		watermark = offWatermarkMultiple * int64(scanThreshold) * int64(maxThreads) * slotBytes
-	}
 	o := &offloader{
 		workers:    cfg.Workers,
-		watermark:  watermark,
 		classBytes: classBytes,
 		queues:     make([]offStack, cfg.Workers),
 		notify:     make([]chan struct{}, cfg.Workers),
+	}
+	o.watermark.Store(cfg.WatermarkBytes)
+	if cfg.WatermarkBytes <= 0 {
+		o.slotBytes = 1
+		if sb, ok := alloc.(interface{ SlotBytes() uintptr }); ok {
+			o.slotBytes = max(int64(sb.SlotBytes()), 1)
+		}
 	}
 	for i := range o.notify {
 		o.notify[i] = make(chan struct{}, 1)
 	}
 	return o
+}
+
+// fit sizes the default watermark to unscanned, the objects the inline
+// scan trigger lets every issued session hold at once, and returns the
+// watermark in force.
+func (o *offloader) fit(unscanned int64) int64 {
+	if o.slotBytes > 0 {
+		o.watermark.Store(offWatermarkMultiple * unscanned * o.slotBytes)
+	}
+	return o.watermark.Load()
 }
 
 // tryOffload hands h's entire retired list to the pipeline. It returns
@@ -233,7 +243,7 @@ func (o *offloader) tryOffload(h *Handle) bool {
 	if o.stopped.Load() {
 		return false
 	}
-	if o.queuedBytes.Load() >= o.watermark {
+	if o.queuedBytes.Load() >= o.watermark.Load() {
 		o.fallbacks.Add(1)
 		return false
 	}
@@ -276,6 +286,7 @@ func (o *offloader) tryOffload(h *Handle) bool {
 	}
 	o.handoffs.Add(1)
 	h.SetRetired(h.Retired()[:0])
+	h.unscanned = 0 // the handoff is this session's scan pass
 	return true
 }
 
@@ -493,7 +504,7 @@ func (o *offloader) stats() obs.OffloadStats {
 		WorkersTotal:   total,
 		QueuedRefs:     q,
 		QueuedBytes:    qb,
-		WatermarkBytes: o.watermark,
+		WatermarkBytes: o.watermark.Load(),
 		Handoffs:       o.handoffs.Load(),
 		Fallbacks:      o.fallbacks.Load(),
 	}

@@ -75,8 +75,8 @@ func offSplitmix(s *uint64) uint64 {
 // — validated protections registered with the freed-while-protected oracle,
 // CheckAccess liveness asserts, a swapping/retiring writer — under seeded
 // deterministic schedules with the offload pipeline enabled for every
-// capable scheme. The scan threshold is 1, so every retire hands its batch
-// to a background reclaimer; the reclaimers run as schedule bystanders and
+// capable scheme. The scan threshold is set to 1, so every retire hands its
+// batch to a background reclaimer; the reclaimers run as schedule bystanders and
 // every free they issue still crosses the oracle's FreeGuard hook.
 func TestOffloadConformanceSched(t *testing.T) {
 	const (
@@ -99,6 +99,7 @@ func TestOffloadConformanceSched(t *testing.T) {
 					mem.WithFaultHandler[uint64](faults.record),
 				)
 				dom := mk(arena)
+				dom.(interface{ SetScanThreshold(int) }).SetScanThreshold(1)
 				oracle := schedtest.NewOracle()
 				dom.(interface{ SetFreeGuard(func(mem.Ref)) }).SetFreeGuard(oracle.FreeGuard)
 
@@ -196,7 +197,7 @@ func TestOffloadCloseShutdown(t *testing.T) {
 	cfg := reclaim.Config{
 		MaxThreads: 4,
 		Slots:      2,
-		ScanR:      1, // threshold 8: many multi-segment handoffs
+		ScanR:      1, // a handoff every 1·issued·2 retires: many handoffs
 		Offload:    reclaim.OffloadConfig{Workers: 2, WatermarkBytes: 1 << 40},
 	}
 	for name, mk := range offloadSchemes(cfg) {
@@ -353,6 +354,7 @@ func TestOffloadAfterCloseFallsBackInline(t *testing.T) {
 	}
 	arena := mem.NewArena[uint64](mem.Checked[uint64](true))
 	dom := core.New(arena, cfg)
+	dom.SetScanThreshold(1)
 	h := dom.Register()
 	ref, _ := arena.Alloc()
 	dom.OnAlloc(ref)
@@ -384,7 +386,7 @@ func TestDrainFoldsPooledHandleResidue(t *testing.T) {
 		"offload": {Workers: 1, WatermarkBytes: 1 << 40},
 	}
 	for mode, oc := range cases {
-		cfg := reclaim.Config{MaxThreads: 4, Slots: 2, ScanR: 4, Offload: oc} // threshold 32
+		cfg := reclaim.Config{MaxThreads: 4, Slots: 2, ScanR: 16, Offload: oc} // threshold 16·1·2 = 32 for one session
 		for name, mk := range offloadSchemes(cfg) {
 			t.Run(mode+"/"+name, func(t *testing.T) {
 				arena := mem.NewArena[uint64](mem.Checked[uint64](true), mem.WithShards[uint64](8))

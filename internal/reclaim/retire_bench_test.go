@@ -22,9 +22,9 @@ const (
 )
 
 // benchCfg is the construction configuration the retire benchmarks use.
-// ScanR=1 enables the amortized scan path (threshold 1*16*3 = 48 retires);
-// the pre-PR baseline in BENCH_retire.json was captured with the same
-// workload and scan-per-retire behaviour.
+// ScanR=1 scans once per 1*issued*3 retires since the last scan (the
+// default rule); BENCH_retire.json's baseline was captured with the same
+// workload under the older threshold 1*MaxThreads*3 = 48.
 func benchCfg() reclaim.Config {
 	return reclaim.Config{MaxThreads: benchThreads, Slots: benchSlots, ScanR: 1}
 }

@@ -27,6 +27,7 @@ type fig2Node struct {
 func RunFig2() ([]string, error) {
 	arena := mem.NewArena[fig2Node](mem.Checked[fig2Node](true))
 	d := core.New(arena, reclaim.Config{MaxThreads: 4, Slots: 3})
+	d.SetScanThreshold(1) // the replay is Algorithm 3: a scan on every retire
 	reader := d.Register()
 	writer := d.Register()
 

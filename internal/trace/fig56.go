@@ -21,6 +21,7 @@ import (
 func RunFig56HE() ([]string, error) {
 	arena := mem.NewArena[fig2Node](mem.Checked[fig2Node](true))
 	d := core.New(arena, reclaim.Config{MaxThreads: 5, Slots: 1})
+	d.SetScanThreshold(1) // the replay is Algorithm 3: a scan on every retire
 	var lines []string
 	say := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
 	fail := func(format string, args ...any) ([]string, error) { return lines, fmt.Errorf(format, args...) }

@@ -64,9 +64,11 @@ type Allocator = reclaim.Allocator
 // MaxThreads (initial session capacity; the registry grows on demand),
 // Slots (protection indices per session), ScanR (scan amortization),
 // Instrument (reader-side op counting) and Offload (background
-// reclamation pipeline). Every field is fixed at construction. The zero
-// value is the paper's static Equation-1 configuration: scan on every
-// retire, reclaim inline.
+// reclamation pipeline). Every field is fixed at construction. With the
+// zero value a session scans once per H retires since its last scan, H =
+// sessions registered × Slots (Michael's R = H + Ω(H) rule with ScanR 1),
+// and reclaims inline. The paper's scan on every retire is the backend's
+// SetScanThreshold(1), called from a Factory passed to NewWith.
 type Config = reclaim.Config
 
 // Stats is a reclamation-accounting snapshot (PeakPending is the paper's
