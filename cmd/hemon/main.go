@@ -124,25 +124,6 @@ func render(client *http.Client, addr string, events int) (string, error) {
 		}
 	}
 
-	// Background-reclamation pipeline: only schemes running with offload
-	// enabled carry the gauges. A queue hovering near the watermark with a
-	// climbing fallback counter is the signature of a lagging reclaimer.
-	var offRows []obs.DomainSnapshot
-	for _, s := range snaps {
-		if s.Offload != nil {
-			offRows = append(offRows, s)
-		}
-	}
-	if len(offRows) > 0 {
-		fmt.Fprintf(&b, "\n%-10s %8s %11s %12s %14s %10s %10s %-26s\n",
-			"offload", "workers", "queue-refs", "queue-bytes", "watermark", "handoffs", "fallbacks", "latency p50/p99/max")
-		for _, s := range offRows {
-			o := s.Offload
-			fmt.Fprintf(&b, "%-10s %8d %11d %12d %14d %10d %10d %-26s\n",
-				s.Scheme, o.Workers, o.QueuedRefs, o.QueuedBytes, o.WatermarkBytes, o.Handoffs, o.Fallbacks, quantiles(s.OffloadLat))
-		}
-	}
-
 	// Size-class occupancy: only domains whose arena exposes class accounting
 	// (byte-value mode) carry the gauges. Class 0 is the typed node slab;
 	// classes 1+ are the byte-payload ladder. Idle classes are elided.
@@ -191,7 +172,7 @@ func render(client *http.Client, addr string, events int) (string, error) {
 
 	// Scheme-deep gauges: whatever the scheme registered beyond the generic
 	// reclamation set — Hyaline handoff stacks and batch ages, WFE helping
-	// counters, per-worker offload queue depths.
+	// counters.
 	for _, s := range snaps {
 		if len(s.SchemeMetrics) == 0 {
 			continue

@@ -8,8 +8,7 @@
 //	hestress -struct list -scheme HE -threads 8 -dur 5s
 //	hestress -struct all -scheme all -dur 1s
 //	hestress -struct all -scheme all -dur 1s -grow
-//	hestress -struct list -scheme HE -offload 1 \
-//	  -phases churn:2s,read:1s,stall:2s
+//	hestress -struct list -scheme HE -phases churn:2s,read:1s,stall:2s
 //
 // Structures: list, map, queue, stack, bst, wfq, skiplist, all. Schemes:
 // every name in the smr scheme registry (smr.Schemes; `hestress -h` lists
@@ -21,11 +20,10 @@
 // payload to every key of the set-like structures, stressing the byte-class
 // sub-allocator's recycle path alongside node reclamation.
 //
-// -offload N hands retired batches to N background reclaimers per domain.
 // -phases shifts the stress regime over a looping schedule — churn
 // (update-heavy), read (read-only), stall (a parked reader on pinnable
-// structures) — so one run crosses every load shape the reclamation
-// pipeline must stay safe under.
+// structures) — so one run crosses every load shape reclamation must stay
+// safe under.
 // Exit status 1 if any fault was detected.
 package main
 

@@ -11,11 +11,10 @@ import (
 )
 
 // Env is the run environment a driver hands the harness: where domains
-// report observability, whether they trace lifecycles, whether they
-// reclaim through the offload pipeline, and whether set structures carry
-// byte payloads. The zero value is the uninstrumented, inline, word-value
-// default. Experiments read it from Options.Env; drivers, tests and
-// examples apply it to a scheme with Wrap.
+// report observability, whether they trace lifecycles, and whether set
+// structures carry byte payloads. The zero value is the uninstrumented,
+// word-value default. Experiments read it from Options.Env; drivers, tests
+// and examples apply it to a scheme with Wrap.
 type Env struct {
 	// Hub, when non-nil, receives an observability domain for every
 	// reclamation domain a wrapped scheme constructs.
@@ -23,25 +22,17 @@ type Env struct {
 	// Trace is the lifecycle-tracing configuration of those obs domains;
 	// it only takes effect alongside Hub.
 	Trace obs.TraceConfig
-	// Offload, when Workers > 0, hands retired batches to that many
-	// background reclaimer goroutines per domain instead of scanning
-	// inline. Schemes without an on-demand scan (RC, NONE) ignore it.
-	Offload reclaim.OffloadConfig
 	// ValSizer, when non-nil, switches the harness's set structures into
 	// byte-value mode: each key carries a real []byte payload through the
 	// size-class arena, sized per key by this function.
 	ValSizer func(key uint64) int
 }
 
-// Wrap returns s with its factory routed through e: the offload pipeline
-// applies unless the caller's Config already configures one, and with a
-// hub every constructed domain attaches an obs domain labelled s.Name.
+// Wrap returns s with its factory routed through e: with a hub every
+// constructed domain attaches an obs domain labelled s.Name.
 func (e Env) Wrap(s Scheme) Scheme {
 	mk := s.Make
 	return Scheme{s.Name, func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
-		if c.Offload.Workers == 0 {
-			c.Offload = e.Offload
-		}
 		d := mk(a, c)
 		if e.Hub != nil {
 			reclaim.Observe(d, e.Hub, s.Name, obs.Config{Sessions: c.Defaulted().MaxThreads, Trace: e.Trace})
@@ -76,7 +67,6 @@ type EnvFlags struct {
 	SampleEvery time.Duration
 	Trace       string
 	Monitor     bool
-	Offload     int
 	ValSize     string
 	Grow        bool
 }
@@ -90,7 +80,6 @@ func RegisterEnvFlags(fs *flag.FlagSet) *EnvFlags {
 	fs.DurationVar(&f.SampleEvery, "sample-every", 100*time.Millisecond, "sampling interval for -sample")
 	fs.StringVar(&f.Trace, "trace", "", "sampled per-ref lifecycle tracing: \"all\" = every allocation, N = 1 in 2^N (adds reclamation-age and pinned-ref telemetry to /metrics.json and span lines to -sample)")
 	fs.BoolVar(&f.Monitor, "monitor", false, "run the online health monitor: invariant alerts at /alerts.json and smr_alerts_*, alert lines to -sample")
-	fs.IntVar(&f.Offload, "offload", 0, "background reclaimer goroutines per domain (0 = inline reclamation)")
 	fs.StringVar(&f.ValSize, "valsize", "0", "per-key []byte payload size for set-like structures: 0 = word values (off), N = fixed N bytes, zipf:N = skewed sizes in [8,N]")
 	fs.BoolVar(&f.Grow, "grow", false, "undersize every registry (initial capacity 2) so workers register through dynamically grown slot blocks")
 	return f
@@ -111,9 +100,6 @@ func (f *EnvFlags) Env() (Env, func(), error) {
 	}
 	if e.Trace, err = ParseTrace(f.Trace); err != nil {
 		return Env{}, nil, err
-	}
-	if f.Offload > 0 {
-		e.Offload = reclaim.OffloadConfig{Workers: f.Offload}
 	}
 	if f.Metrics == "" && f.Sample == "" && f.Trace == "" && !f.Monitor {
 		return e, func() {}, nil

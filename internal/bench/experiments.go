@@ -33,7 +33,7 @@ type Options struct {
 	// hebench -grow flag. See Workload.Grow.
 	Grow bool
 	// Env is the run environment every cell's domains and structures are
-	// built in (observability, offload, byte values).
+	// built in (observability, byte values).
 	Env Env
 }
 

@@ -20,7 +20,17 @@
 // argument as the Michael-Scott queue): protect the child read from
 // parent.Child[b], then re-check that the edge which led to parent is
 // unchanged; any unlink of parent in the window forces a restart from the
-// root.
+// root. An unchanged edge proves parent reachable only if the node holding
+// that edge is itself still linked, and an unlinked node's edges are never
+// rewritten. So Remove sets the mark bit on both child edges of the node it
+// unlinks before the unlink store, and the reader treats a marked edge —
+// the child it just read or the anchor — as changed. Only unlinked nodes
+// carry marks, so writers, which start from the root, never see one. This
+// is what pointer-based schemes (HP) need: a protection is valid only if
+// its target was reachable when the protection was published, and a
+// reader whose anchors lie inside already-unlinked nodes would otherwise
+// pass re-validation. Era schemes need no more than the era they already
+// published on the path.
 package bst
 
 import (
@@ -31,6 +41,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/payload"
 	"repro/internal/reclaim"
+	"repro/internal/schedtest"
 	"repro/smr"
 )
 
@@ -180,10 +191,6 @@ retry:
 		if cur.IsNil() {
 			return 0, nil, false
 		}
-		// Anchor of cur's parent: the edge Remove's unlink rewrites when it
-		// retires cur (gpEdge in Remove). Tracked for the payload read.
-		var prevEdge *atomic.Uint64
-		var prevExpect uint64
 		for {
 			n := arena.Get(cur)
 			if n.Kind == kindLeaf {
@@ -200,15 +207,13 @@ retry:
 				// retires, so it needs its own protection. Publish at
 				// slot+1 (never used by the path itself: a leaf sits at
 				// slot <= MaxDepth-1, and Slots = MaxDepth+1), then
-				// re-validate the edge the unlink rewrites — the one that
-				// led to the leaf's PARENT, or the leaf's own edge when the
-				// leaf is the root. If the anchor still holds, the publish
-				// preceded the unlink and therefore the payload's
-				// retirement, so the retirer's scan must honor this hold.
+				// re-validate the edge that led to the leaf. Unchanged and
+				// unmarked, it shows the leaf still linked after the
+				// publish, so the publish preceded the unlink and therefore
+				// the payload's retirement, and the retirer's scan must
+				// honor this hold.
+				schedtest.Point(schedtest.PointCAS)
 				pRef := h.Protect(slot+1, &n.Val)
-				if prevEdge != nil && prevEdge.Load() != prevExpect {
-					continue retry
-				}
 				if edge.Load() != uint64(cur) {
 					continue retry
 				}
@@ -220,13 +225,14 @@ retry:
 			}
 			childEdge := &n.Child[bit(key, n.Bit)]
 			slot++
+			schedtest.Point(schedtest.PointCAS)
 			child := h.Protect(slot, childEdge)
-			// Anchor re-validation: if cur was unlinked, the edge that led
-			// to it changed and the protection on child may be stale.
-			if edge.Load() != uint64(cur) {
+			// Anchor re-validation: if cur was unlinked, its own edges are
+			// marked (child) or the edge that led to it changed or was
+			// marked, and the protection on child may be stale.
+			if child.Marked() || edge.Load() != uint64(cur) {
 				continue retry
 			}
-			prevEdge, prevExpect = edge, uint64(cur)
 			edge = childEdge
 			cur = child
 		}
@@ -351,6 +357,11 @@ func (t *Tree) Remove(g *smr.Guard, key uint64) bool {
 	pn := t.arena.Get(parent)
 	b := bit(key, pn.Bit)
 	sibling := pn.Child[1-b].Load()
+	schedtest.Point(schedtest.PointCAS)
+	// Mark parent's edges before the unlink, so a reader whose anchor is
+	// one of them sees it changed (see the package comment).
+	pn.Child[b].Store(uint64(cur | mem.MarkBit))
+	pn.Child[1-b].Store(sibling | uint64(mem.MarkBit))
 	gpEdge.Store(sibling) // unlink parent (and with it the leaf)
 	h.Retire(parent)
 	t.retireLeaf(h, cur)

@@ -277,7 +277,7 @@ func (d *Eras) Retire(h *reclaim.Handle, ref mem.Ref) {
 		// advance, which only makes eras pass faster.
 		h.ObsEra(d.eraClock.Add(1))
 	}
-	if h.ScanDue() && !h.TryOffload() {
+	if h.ScanDue() {
 		d.scan(h)
 	}
 }

@@ -107,7 +107,7 @@ func (d *Domain) Retire(h *reclaim.Handle, ref mem.Ref) {
 	d.Alloc.Header(ref).RetireEra = e
 	h.PushRetired(ref)
 	d.tryAdvance(h, e)
-	if h.ScanDue() && !h.TryOffload() {
+	if h.ScanDue() {
 		d.scan(h)
 	}
 }

@@ -121,7 +121,7 @@ func (d *Pointers) Protect(h *reclaim.Handle, index int, src *atomic.Uint64) mem
 // every session exactly once.
 func (d *Pointers) Retire(h *reclaim.Handle, ref mem.Ref) {
 	h.PushRetired(ref)
-	if h.ScanDue() && !h.TryOffload() {
+	if h.ScanDue() {
 		d.scan(h)
 	}
 }

@@ -67,9 +67,6 @@
 // Batches are freed through Handle.FreeRetired, so the freed-while-
 // protected oracle (SetFreeGuard), the striped freed/byte accounting, the
 // flight recorder and the schedtest free gate all observe every free.
-// Scan(h) — seal-and-distribute — implements reclaim.Scanner, so the
-// background offload pipeline hands retired segments to worker sessions
-// whose distribution then runs off the application's critical path.
 // Handoff nodes are heap-allocated and GC-managed; the paper embeds them
 // in the retired nodes themselves, an optimization this arena's fixed
 // headers do not accommodate.
@@ -166,10 +163,7 @@ type Domain struct {
 	handoffs atomic.Int64
 }
 
-var (
-	_ reclaim.Domain  = (*Domain)(nil)
-	_ reclaim.Scanner = (*Domain)(nil)
-)
+var _ reclaim.Domain = (*Domain)(nil)
 
 // Option configures the domain.
 type Option func(*Domain)
@@ -291,8 +285,8 @@ func (d *Domain) ensure(h *reclaim.Handle) {
 }
 
 // state returns h's handoff anchor; ensure ran at Register/Acquire, so the
-// lookup is two loads. Sessions registered through Base directly (the
-// offload pipeline's workers) fall through to ensure here.
+// lookup is two loads. A session that reached the domain without
+// Register/Acquire falls through to ensure here.
 func (d *Domain) state(h *reclaim.Handle) *handState {
 	if tbl := *d.hand.Load(); h.ID() < len(tbl) {
 		if st := tbl[h.ID()]; st != nil {
@@ -407,15 +401,14 @@ func (d *Domain) Retire(h *reclaim.Handle, ref mem.Ref) {
 		schedtest.Point(schedtest.PointEra)
 		h.ObsEra(d.eraClock.Add(1))
 	}
-	if h.ScanDue() && !h.TryOffload() {
+	if h.ScanDue() {
 		d.scan(h)
 	}
 }
 
 // Scan runs one seal-and-distribute pass over the session's retired list.
-// Retire calls it at the scan threshold; the offload pipeline calls it on
-// worker sessions after merging queued segments; it is exported as the
-// ScanNow escape hatch for harness teardown and tests.
+// Retire calls it at the scan threshold; it is exported as the ScanNow
+// escape hatch for harness teardown and tests.
 func (d *Domain) Scan(h *reclaim.Handle) { d.scan(h) }
 
 // scan seals the retired list into a batch and hands it to every active

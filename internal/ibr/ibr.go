@@ -161,7 +161,7 @@ func (d *Domain) Retire(h *reclaim.Handle, ref mem.Ref) {
 		schedtest.Point(schedtest.PointEra)
 		h.ObsEra(d.eraClock.Add(1))
 	}
-	if h.ScanDue() && !h.TryOffload() {
+	if h.ScanDue() {
 		d.scan(h)
 	}
 }

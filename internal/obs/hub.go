@@ -279,24 +279,6 @@ func WriteMetrics(w io.Writer, snaps []DomainSnapshot) {
 		}
 	}
 
-	// Offload pipeline series: emitted only for domains with the background
-	// reclaimer enabled (same conditional pattern as the era-lag gauges).
-	offGauge := func(name, help, kind string, val func(*OffloadStats) int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-		for _, s := range snaps {
-			if s.Offload != nil {
-				fmt.Fprintf(w, "%s{scheme=%q} %d\n", name, s.Scheme, val(s.Offload))
-			}
-		}
-	}
-	offGauge("smr_offload_workers", "Background reclaimer goroutines engaged in reclamation (parked workers excluded).", "gauge", func(o *OffloadStats) int64 { return o.Workers })
-	offGauge("smr_offload_workers_total", "Configured background reclaimer goroutines.", "gauge", func(o *OffloadStats) int64 { return o.WorkersTotal })
-	offGauge("smr_offload_queue_refs", "Refs handed off and awaiting background reclamation.", "gauge", func(o *OffloadStats) int64 { return o.QueuedRefs })
-	offGauge("smr_offload_queue_bytes", "Bytes handed off and awaiting background reclamation.", "gauge", func(o *OffloadStats) int64 { return o.QueuedBytes })
-	offGauge("smr_offload_watermark_bytes", "Backpressure watermark for the offload queue.", "gauge", func(o *OffloadStats) int64 { return o.WatermarkBytes })
-	offGauge("smr_offload_handoffs_total", "Retired batches handed to the background reclaimer.", "counter", func(o *OffloadStats) int64 { return o.Handoffs })
-	offGauge("smr_offload_fallback_total", "Handoffs refused at the watermark (inline scan fallback).", "counter", func(o *OffloadStats) int64 { return o.Fallbacks })
-
 	// Per-size-class arena series: emitted only for domains whose allocator
 	// exposes class accounting. Labelled by class id and payload size.
 	classGauge := func(name, help, kind string, val func(ArenaClass) int64) {
@@ -332,9 +314,9 @@ func WriteMetrics(w io.Writer, snaps []DomainSnapshot) {
 		}
 	}
 
-	// Scheme-deep series (Hyaline handoff depths, WFE helping counters,
-	// per-worker offload queues): names come from the snapshots themselves,
-	// grouped so HELP/TYPE headers are emitted once per series.
+	// Scheme-deep series (Hyaline handoff depths, WFE helping counters):
+	// names come from the snapshots themselves, grouped so HELP/TYPE
+	// headers are emitted once per series.
 	type schemeSample struct {
 		scheme string
 		m      SchemeMetric
@@ -370,7 +352,6 @@ func WriteMetrics(w io.Writer, snaps []DomainSnapshot) {
 	writeHist(w, "smr_protect_latency_ns", "Sampled protect-path latency.", snaps, func(s DomainSnapshot) HistSnapshot { return s.Protect })
 	writeHist(w, "smr_retire_latency_ns", "Sampled retire-path latency.", snaps, func(s DomainSnapshot) HistSnapshot { return s.Retire })
 	writeHist(w, "smr_scan_latency_ns", "Reclamation scan latency.", snaps, func(s DomainSnapshot) HistSnapshot { return s.Scan })
-	writeHist(w, "smr_offload_latency_ns", "Handoff-to-reclaimed latency of offloaded batches.", snaps, func(s DomainSnapshot) HistSnapshot { return s.OffloadLat })
 
 	fmt.Fprintf(w, "# HELP smr_reclaim_age_ns Retire-to-free latency of traced refs (the live Equation-1 reading).\n# TYPE smr_reclaim_age_ns histogram\n")
 	for _, s := range snaps {

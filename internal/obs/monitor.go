@@ -27,8 +27,6 @@ import (
 //   - handoff-growth: the Hyaline handoff-stack max depth grew on every
 //     tick of the window — the monotone-growth signature of a detached
 //     reader accumulating batches.
-//   - offload-saturation: the background-reclamation queue sits above a
-//     fraction of its backpressure watermark.
 
 // MonitorConfig tunes the watcher. Zero values take defaults.
 type MonitorConfig struct {
@@ -40,9 +38,6 @@ type MonitorConfig struct {
 	ClearTicks int
 	// AgeP99CeilNs is the reclamation-age p99 ceiling. Default 250ms.
 	AgeP99CeilNs int64
-	// SaturationPct is the offload-queue occupancy (percent of the
-	// watermark) above which the queue counts as saturated. Default 90.
-	SaturationPct int64
 	// MaxAlerts caps the retained alert log (oldest dropped). Default 128.
 	MaxAlerts int
 }
@@ -59,9 +54,6 @@ func (c MonitorConfig) defaulted() MonitorConfig {
 	}
 	if c.AgeP99CeilNs <= 0 {
 		c.AgeP99CeilNs = int64(250 * time.Millisecond)
-	}
-	if c.SaturationPct <= 0 {
-		c.SaturationPct = 90
 	}
 	if c.MaxAlerts <= 0 {
 		c.MaxAlerts = 128
@@ -246,21 +238,6 @@ func (m *Monitor) eval(s DomainSnapshot) []Alert {
 			value:     v,
 			threshold: 0,
 			detail:    "hyaline handoff-stack depth grew every tick of the window",
-		})
-	}
-	if s.Offload != nil && s.Offload.WatermarkBytes > 0 {
-		// A parked worker is headroom: its queue backlog is one wake away
-		// from draining, so a high queue with parked workers is a transient,
-		// not saturation. Workers counts only busy (non-parked) workers;
-		// requiring it to have caught up with WorkersTotal keeps the
-		// invariant from under-reporting headroom.
-		headroom := s.Offload.Workers < s.Offload.WorkersTotal
-		rs = append(rs, reading{
-			invariant: "offload-saturation",
-			breach:    !headroom && s.Offload.QueuedBytes*100 >= s.Offload.WatermarkBytes*m.cfg.SaturationPct,
-			value:     s.Offload.QueuedBytes,
-			threshold: s.Offload.WatermarkBytes * m.cfg.SaturationPct / 100,
-			detail:    "offload queue above the saturation fraction of its watermark with every worker busy",
 		})
 	}
 

@@ -20,7 +20,6 @@ func TestMonitorHysteresis(t *testing.T) {
 		pending int64  // pending-budget input
 		lagged  bool   // era-stall input: one session parked at era 0
 		depth   int64  // handoff-growth input
-		queued  int64  // offload-saturation input
 		clock   uint64 = 100
 	)
 	d.SetStatsSource(func() Stats { return Stats{PendingBytes: pending} })
@@ -30,9 +29,6 @@ func TestMonitorHysteresis(t *testing.T) {
 		if lagged {
 			yield(1, 0)
 		}
-	})
-	d.SetOffloadSource(func() OffloadStats {
-		return OffloadStats{Workers: 1, QueuedBytes: queued, WatermarkBytes: 1000}
 	})
 	d.AddSchemeSource(func() []SchemeMetric {
 		return []SchemeMetric{{Name: "smr_hyaline_handoff_depth_max", Kind: "gauge", Value: depth}}
@@ -53,13 +49,13 @@ func TestMonitorHysteresis(t *testing.T) {
 	// Excursion: every invariant breaches. The reclaim-age histogram gets
 	// one observation far above the ceiling (a single sample IS the p99);
 	// the handoff depth must grow on every tick to count as monotone.
-	pending, lagged, queued = 2000, true, 950
+	pending, lagged = 2000, true
 	d.Tracer().age.Record(0, 50_000)
 	for i := 0; i < 2; i++ {
 		depth++
 		m.Step()
 	}
-	wantRaised := []string{"pending-budget", "era-stall", "reclaim-age-p99", "handoff-growth", "offload-saturation"}
+	wantRaised := []string{"pending-budget", "era-stall", "reclaim-age-p99", "handoff-growth"}
 	counts := map[string]int{}
 	for _, a := range fired {
 		if a.State != "raise" {
@@ -79,7 +75,7 @@ func TestMonitorHysteresis(t *testing.T) {
 	// Recovery: drag the cumulative age p99 back under the ceiling with a
 	// mass of tiny observations, stop the depth growth, zero the gauges.
 	fired = nil
-	pending, lagged, queued = 0, false, 0
+	pending, lagged = 0, false
 	for i := 0; i < 400; i++ {
 		d.Tracer().age.Record(0, 10)
 	}
@@ -116,8 +112,8 @@ func TestMonitorHysteresis(t *testing.T) {
 				st.Invariant, st.Active, st.Raises, st.Clears)
 		}
 	}
-	if got := len(m.Log()); got != 10 {
-		t.Errorf("alert log holds %d transitions, want 10", got)
+	if got := len(m.Log()); got != 8 {
+		t.Errorf("alert log holds %d transitions, want 8", got)
 	}
 }
 

@@ -134,26 +134,8 @@ type ArenaClass struct {
 	Refills   int64 `json:"refills"`
 }
 
-// OffloadStats are the background-reclamation pipeline gauges a domain with
-// offloading enabled exports: queue depth (refs and bytes), the backpressure
-// watermark, and the handoff/inline-fallback counters. Mirrored here rather
-// than imported for the same reason as Stats — reclaim depends on obs.
-type OffloadStats struct {
-	// Workers counts workers currently engaged in reclamation — parked
-	// workers are headroom, not load, and are excluded so the monitor's
-	// saturation invariant reads true busyness.
-	Workers int64 `json:"workers"`
-	// WorkersTotal is the configured worker-goroutine count.
-	WorkersTotal   int64 `json:"workers_total"`
-	QueuedRefs     int64 `json:"queued_refs"`
-	QueuedBytes    int64 `json:"queued_bytes"`
-	WatermarkBytes int64 `json:"watermark_bytes"`
-	Handoffs       int64 `json:"handoffs"`
-	Fallbacks      int64 `json:"fallbacks"`
-}
-
 // LabeledValue is one labelled sample of a scheme-deep metric (e.g. the
-// handoff depth of one session, the queue depth of one worker).
+// handoff depth of one session).
 type LabeledValue struct {
 	Label string `json:"label"`
 	Value int64  `json:"value"`
@@ -161,9 +143,9 @@ type LabeledValue struct {
 
 // SchemeMetric is one scheme-deep gauge or counter a domain exports beyond
 // the generic reclamation set: Hyaline handoff-stack depths and batch
-// ages, WFE helping counters, per-worker offload queue depths. Name is the
-// full Prometheus series name (smr_*); Kind is "counter" or "gauge". A
-// metric carries either a single Value or per-Label Values.
+// ages, WFE helping counters. Name is the full Prometheus series name
+// (smr_*); Kind is "counter" or "gauge". A metric carries either a single
+// Value or per-Label Values.
 type SchemeMetric struct {
 	Name   string         `json:"name"`
 	Help   string         `json:"help,omitempty"`
@@ -188,7 +170,6 @@ type Domain struct {
 	protect *Histogram
 	retire  *Histogram
 	scan    *Histogram
-	offload *Histogram // handoff-to-reclaimed latency (offload pipeline)
 
 	// Per-ref lifecycle tracer; nil unless cfg.Trace.Enabled.
 	tracer *Tracer
@@ -197,7 +178,6 @@ type Domain struct {
 	stats    func() Stats
 	clock    func() uint64
 	sessions func(yield func(session int, era uint64))
-	offStats func() OffloadStats
 	classes  func() []ArenaClass
 	objBytes uint64
 	budget   atomic.Int64
@@ -226,7 +206,6 @@ func NewDomain(name string, cfg Config) *Domain {
 		protect:  NewHistogram(cfg.Sessions),
 		retire:   NewHistogram(cfg.Sessions),
 		scan:     NewHistogram(cfg.Sessions),
-		offload:  NewHistogram(cfg.Sessions),
 	}
 	for i := range d.rings {
 		d.rings[i].init(cfg.RingEvents)
@@ -259,10 +238,6 @@ func (d *Domain) RetireStripe(session int) *LatencyStripe { return d.retire.Stri
 // ScanStripe returns the session's scan-latency histogram stripe.
 func (d *Domain) ScanStripe(session int) *LatencyStripe { return d.scan.Stripe(session) }
 
-// OffloadStripe returns the offload-latency histogram stripe for a
-// background-reclaimer session: it records handoff-to-reclaimed time.
-func (d *Domain) OffloadStripe(session int) *LatencyStripe { return d.offload.Stripe(session) }
-
 // SetStatsSource installs the reclamation-statistics closure (wiring time
 // only; called by reclaim.Base.EnableObs).
 func (d *Domain) SetStatsSource(fn func() Stats) { d.stats = fn }
@@ -278,12 +253,6 @@ func (d *Domain) SetEraSource(clock func() uint64, sessions func(yield func(sess
 // SetObjectBytes records the per-object footprint (the arena slot size) so
 // pending counts convert to pending bytes.
 func (d *Domain) SetObjectBytes(n uint64) { d.objBytes = n }
-
-// SetOffloadSource installs the background-reclamation gauge closure for
-// domains with the offload pipeline enabled (wiring time only; called by
-// reclaim.Base.EnableObs). Domains without offloading leave it nil and
-// export no smr_offload_* series.
-func (d *Domain) SetOffloadSource(fn func() OffloadStats) { d.offStats = fn }
 
 // SetClassSource installs the per-size-class arena gauge closure (wiring
 // time only; called by reclaim.Base.EnableObs when the allocator exposes
@@ -304,8 +273,7 @@ func (d *Domain) SetBudget(bytes int64) { d.budget.Store(bytes) }
 func (d *Domain) Budget() int64 { return d.budget.Load() }
 
 // AddSchemeSource appends a scheme-deep metric closure, folded into every
-// snapshot. Schemes install these from their EnableObs overrides; the
-// reclaim wiring adds the offload per-worker depths the same way.
+// snapshot. Schemes install these from their EnableObs overrides.
 func (d *Domain) AddSchemeSource(fn func() []SchemeMetric) {
 	d.srcMu.Lock()
 	d.schemeSrcs = append(d.schemeSrcs, fn)
@@ -345,11 +313,6 @@ type DomainSnapshot struct {
 	Retire  HistSnapshot `json:"retire_ns"`
 	Scan    HistSnapshot `json:"scan_ns"`
 
-	// Background-reclamation gauges; present only when the domain has the
-	// offload pipeline enabled.
-	Offload    *OffloadStats `json:"offload,omitempty"`
-	OffloadLat HistSnapshot  `json:"offload_latency_ns"`
-
 	// Per-size-class arena gauges; present only when the allocator exposes
 	// class accounting (mem arenas with WithByteClasses, plus class 0).
 	Classes []ArenaClass `json:"classes,omitempty"`
@@ -370,8 +333,8 @@ type DomainSnapshot struct {
 	TraceLive  int          `json:"trace_live_spans,omitempty"`
 	Pinned     []PinnedRef  `json:"pinned,omitempty"`
 
-	// Scheme-deep gauges (Hyaline handoff depths, WFE helping counters,
-	// per-worker offload queues); present when the scheme installed them.
+	// Scheme-deep gauges (Hyaline handoff depths, WFE helping counters);
+	// present when the scheme installed them.
 	SchemeMetrics []SchemeMetric `json:"scheme_metrics,omitempty"`
 }
 
@@ -399,11 +362,6 @@ func (d *Domain) Snapshot() DomainSnapshot {
 	}
 	if d.stats != nil {
 		s.Stats = d.stats()
-	}
-	if d.offStats != nil {
-		off := d.offStats()
-		s.Offload = &off
-		s.OffloadLat = d.offload.Snapshot()
 	}
 	if d.classes != nil {
 		s.Classes = d.classes()

@@ -8,7 +8,7 @@ import (
 
 // Per-ref lifecycle tracing. A configurable fraction of allocations is
 // tagged at Alloc time and followed through its whole life — alloc →
-// publish → protect → retire → offload handoff → scan-pass skip → free —
+// publish → protect → retire → handoff → scan-pass skip → free —
 // so that a pending-bytes spike can be explained by naming the refs that
 // are pinned, the sessions pinning them, and how long each has waited.
 //

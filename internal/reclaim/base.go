@@ -33,11 +33,6 @@ type Config struct {
 	ScanR int
 	// Instrument, when non-nil, enables reader-side atomic-op counting.
 	Instrument *Instrument
-	// Offload, when Workers > 0, enables the background reclamation
-	// pipeline: sessions hand retired batches to N reclaimer goroutines
-	// instead of scanning inline, falling back to inline scan when the
-	// pending-bytes watermark is reached (see offload.go).
-	Offload OffloadConfig
 }
 
 // Defaulted returns cfg with zero fields replaced by sane defaults.
@@ -184,10 +179,6 @@ type Base struct {
 	// without a session: TraceAlloc and the quiescent freeAt. Session hooks
 	// reach the same tracer through their probe.
 	tracer *obs.Tracer
-
-	// off, when non-nil, is the background reclamation pipeline
-	// (Config.Offload; see offload.go). Hot paths pay one nil check.
-	off *offloader
 }
 
 // SetFreeGuard installs (or, with nil, removes) the reclamation-path free
@@ -268,10 +259,6 @@ func (b *Base) EnableObs(d *obs.Domain) {
 			}
 			return out
 		})
-	}
-	if o := b.off; o != nil {
-		d.SetOffloadSource(o.stats)
-		d.AddSchemeSource(o.schemeMetrics)
 	}
 	b.fitRegistry(int(b.issued.Load()))
 	if tr := d.Tracer(); tr != nil {
@@ -372,11 +359,7 @@ func NewBase(alloc Allocator, cfg Config, wordsPerSlot int, initWord uint64) (b 
 		freedBytes:   freedBytes,
 		uniformBytes: uniform,
 		classBytes:   classBytes,
-		// The offloader is heap-allocated and holds no *Base (workers
-		// resolve the domain lazily at the first handoff), so the Base
-		// value the caller embeds shares it safely.
-		off:     newOffloader(cfg.Offload, alloc, classBytes),
-		scanPer: max(cfg.ScanR, 1) * cfg.Slots,
+		scanPer:      max(cfg.ScanR, 1) * cfg.Slots,
 	}
 	return
 }
@@ -560,23 +543,17 @@ func (b *Base) scanBatch(n int) int {
 	return b.scanPer * n
 }
 
-// fitRegistry re-derives, for n issued session ids, the limits that scale
-// with the registry: the offload watermark (unless configured) and the
-// health monitor's Equation-1 pending budget. Register calls it whenever
-// the count grows. The budget tolerates every session's scanBatch(n)
-// unscanned retires plus the objects its published slots can pin, doubled
-// for fold skew, plus what the offload pipeline may hold at its
-// watermark. Engineering headroom, not the paper's exact constant: the
-// monitor wants "pending grew past anything the parameters explain", and
-// the stalled-reader runaway crosses any fixed multiple.
+// fitRegistry re-derives, for n issued session ids, the health monitor's
+// Equation-1 pending budget; Register calls it whenever the count grows.
+// The budget tolerates every session's scanBatch(n) unscanned retires plus
+// the objects its published slots can pin, doubled for fold skew.
+// Engineering headroom, not the paper's exact constant: the monitor wants
+// "pending grew past anything the parameters explain", and the
+// stalled-reader runaway crosses any fixed multiple.
 func (b *Base) fitRegistry(n int) {
-	batch := int64(b.scanBatch(n))
-	var held int64
-	if o := b.off; o != nil {
-		held = o.fit(batch * int64(n))
-	}
 	if d := b.obsDom; d != nil && n > 0 {
-		d.SetBudget(2*b.classBytes[0]*int64(n)*(batch+2*int64(b.Cfg.Slots)) + held)
+		batch := int64(b.scanBatch(n))
+		d.SetBudget(2 * b.classBytes[0] * int64(n) * (batch + 2*int64(b.Cfg.Slots)))
 	}
 }
 
@@ -623,19 +600,11 @@ func (b *Base) abandon(s *Slot) {
 
 // DrainAll unconditionally frees every pending retired object in every
 // slot's list (registered, pooled, or recycled) and the orphan pool. Only
-// safe at quiescence (the paper's destructor).
-//
-// The background reclamation pipeline (if any) is shut down first: its
-// workers run a final drain+scan and unregister — abandoning survivors to
-// the orphan pool — and any still-queued segment is flushed directly, so
-// the registry walk below observes every outstanding object and Pending
-// reads 0 afterwards. Pooled handles need no special casing: Release keeps
-// the retired list with the slot, and the walk visits every slot whether
-// its session is registered, pooled, or recycled.
+// safe at quiescence (the paper's destructor). Pooled handles need no
+// special casing: Release keeps the retired list with the slot, and the
+// walk visits every slot whether its session is registered, pooled, or
+// recycled.
 func (b *Base) DrainAll() {
-	if o := b.off; o != nil {
-		o.shutdown(b)
-	}
 	walk := b.Sessions()
 	for slots := walk.Next(); slots != nil; slots = walk.Next() {
 		for i := range slots {
@@ -655,6 +624,12 @@ func (b *Base) DrainAll() {
 		b.freeAt(0, ref)
 	}
 }
+
+// Close shuts the domain down at quiescence, freeing every pending retired
+// object and leaving Stats().Pending == 0. It is the paper's destructor
+// under its conventional name; promoted through embedding, every scheme
+// satisfies interface{ Close() }.
+func (b *Base) Close() { b.Dom.Drain() }
 
 // refBytes returns the class-aware footprint of the block ref names.
 func (b *Base) refBytes(ref mem.Ref) int64 {

@@ -109,28 +109,3 @@ func TestObsPendingBytesTrueFigure(t *testing.T) {
 	}
 	b.DrainAll()
 }
-
-// TestOffloadQueuedBytesClassAware pins that the offload backpressure gauge
-// weighs queued refs by their true class footprint.
-func TestOffloadQueuedBytesClassAware(t *testing.T) {
-	arena := testByteArena()
-	// No workers: we only exercise the accounting helpers, so build the
-	// offloader directly.
-	var classBytes [mem.NumClasses]int64
-	for c, fp := range arena.ClassFootprints() {
-		classBytes[c] = int64(fp)
-	}
-	o := newOffloader(OffloadConfig{Workers: 1}, arena, classBytes)
-	if o == nil {
-		t.Fatal("offloader not built")
-	}
-	if o.classBytes[mem.SizeToClass(4000)] != classBytes[mem.SizeToClass(4000)] {
-		t.Fatal("class footprints not threaded into the offloader")
-	}
-	// The watermark default still derives from the typed slot size: one
-	// session with a scan batch of one.
-	wantWM := int64(8) * 1 * 1 * int64(arena.SlotBytes())
-	if wm := o.fit(1 * 1); wm != wantWM {
-		t.Fatalf("default watermark %d, want %d", wm, wantWM)
-	}
-}

@@ -336,3 +336,64 @@ func TestConformanceUnregisterHandsOffProtected(t *testing.T) {
 		})
 	}
 }
+
+// TestDrainFoldsPooledHandleResidue: a session that retires below the scan
+// threshold and parks its handle in the pool (Release) keeps its retired
+// list with the slot, and Close must still fold it — Pending == 0, every
+// retire freed, no live block. The domain keeps working after Close: a
+// second round of retires through the pooled handle, reclaimed inline,
+// closes the ledger exactly again.
+func TestDrainFoldsPooledHandleResidue(t *testing.T) {
+	cfg := reclaim.Config{MaxThreads: 4, Slots: 2, ScanR: 16} // threshold 16·1·2 = 32 for one session
+	schemes := map[string]func(a reclaim.Allocator) reclaim.Domain{
+		"HE":         func(a reclaim.Allocator) reclaim.Domain { return core.New(a, cfg) },
+		"HE-minmax":  func(a reclaim.Allocator) reclaim.Domain { return core.New(a, cfg, core.WithMinMax(true)) },
+		"HP":         func(a reclaim.Allocator) reclaim.Domain { return hp.New(a, cfg) },
+		"EBR":        func(a reclaim.Allocator) reclaim.Domain { return ebr.New(a, cfg) },
+		"URCU":       func(a reclaim.Allocator) reclaim.Domain { return urcu.New(a, cfg) },
+		"IBR":        func(a reclaim.Allocator) reclaim.Domain { return ibr.New(a, cfg) },
+		"hyaline-1r": func(a reclaim.Allocator) reclaim.Domain { return hyaline.New(a, cfg) },
+		"WFE":        func(a reclaim.Allocator) reclaim.Domain { return wfe.New(a, cfg, wfe.WithMaxTries(1)) },
+	}
+	const retires = 10 // well below the threshold of 32
+	for name, mk := range schemes {
+		t.Run("inline/"+name, func(t *testing.T) {
+			arena := mem.NewArena[uint64](mem.Checked[uint64](true), mem.WithShards[uint64](8))
+			dom := mk(arena)
+			round := func(h *reclaim.Handle) {
+				var cell atomic.Uint64
+				for i := 0; i < retires; i++ {
+					ref, p := arena.AllocAt(h.ID())
+					*p = uint64(i)
+					dom.OnAlloc(ref)
+					if old := mem.Ref(cell.Swap(uint64(ref))); !old.IsNil() {
+						h.Retire(old)
+					}
+				}
+				h.Retire(mem.Ref(cell.Swap(0)))
+			}
+			check := func(when string, want int64) {
+				t.Helper()
+				if s := dom.Stats(); s.Pending != 0 || s.Retired != want || s.Freed != want {
+					t.Fatalf("%s: pending=%d retired/freed=%d/%d, want 0 and %d/%d",
+						when, s.Pending, s.Retired, s.Freed, want, want)
+				}
+				if st := arena.Stats(); st.Live != 0 || st.Faults != 0 {
+					t.Fatalf("%s: arena %+v", when, st)
+				}
+			}
+
+			h := dom.Acquire()
+			round(h)
+			h.Release() // pooled, residue stays with the slot
+			dom.(interface{ Close() }).Close()
+			check("after Close with pooled residue", retires)
+
+			h = dom.Acquire()
+			round(h)
+			h.Unregister()
+			dom.Drain()
+			check("after a second round past Close", 2*retires)
+		})
+	}
+}

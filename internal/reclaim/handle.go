@@ -437,10 +437,9 @@ func (h *Handle) ReclaimUnprotected(protected func(ref mem.Ref) bool) {
 }
 
 // TraceHandoff lands a handoff event on a sampled ref's lifecycle span —
-// schemes and the offload pipeline call it when a retired ref changes hands
-// (a Hyaline batch distribution, an offload enqueue). value carries the
-// destination: a worker index or a receiving-session count. One untaken
-// branch when the session has no probe.
+// schemes call it when a retired ref changes hands (a Hyaline batch
+// distribution). value carries the destination, a receiving-session count.
+// One untaken branch when the session has no probe.
 func (h *Handle) TraceHandoff(ref mem.Ref, value uint64) {
 	if p := h.probe; p != nil && p.trace != nil {
 		if r := uint64(ref.Unmarked()); p.trace.Sampled(r) {
@@ -450,8 +449,8 @@ func (h *Handle) TraceHandoff(ref mem.Ref, value uint64) {
 }
 
 // ObsNow returns obs.Now() when an obs domain watches this session and 0
-// otherwise: the timestamp for obs-only gauges (Hyaline's batch age, the
-// offload latency histogram), so an unwatched session never reads the clock.
+// otherwise: the timestamp for obs-only gauges (Hyaline's batch age), so an
+// unwatched session never reads the clock.
 func (h *Handle) ObsNow() int64 {
 	if p := h.probe; p != nil && p.ring != nil {
 		return obs.Now()

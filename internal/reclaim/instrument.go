@@ -96,10 +96,10 @@ type probe struct {
 
 	loads, stores, rmws, visits *atomicx.PaddedInt64
 
-	ring                 *obs.Ring
-	prot, ret, scan, off *obs.LatencyStripe
-	mask                 uint64 // sample when tick&mask == 0
-	trace                *obs.Tracer
+	ring            *obs.Ring
+	prot, ret, scan *obs.LatencyStripe
+	mask            uint64 // sample when tick&mask == 0
+	trace           *obs.Tracer
 
 	tickProt, tickRet, tickPush, tickEra uint64
 	scanT0                               int64 // NoteScan timestamp
@@ -124,7 +124,6 @@ func newProbe(id int, ins *Instrument, d *obs.Domain) *probe {
 		p.prot = d.ProtectStripe(id)
 		p.ret = d.RetireStripe(id)
 		p.scan = d.ScanStripe(id)
-		p.off = d.OffloadStripe(id)
 		p.mask = d.SampleMask()
 		p.trace = d.Tracer()
 	}

@@ -52,9 +52,11 @@ const (
 	PointScan
 	// PointFree guards the instant before retired objects are freed.
 	PointFree
-	// PointCAS guards data-structure CAS linearization points (list
+	// PointCAS guards data-structure linearization points (list
 	// unlink/insert, queue head/tail swings, stack top, wfqueue
-	// announcement and descriptor replacement).
+	// announcement and descriptor replacement, the BST's unlink store) and
+	// the BST reader's descent windows between reading an edge and
+	// re-validating the anchor that led to it.
 	PointCAS
 	// PointSpin marks blocking wait loops (URCU Synchronize). The
 	// controller ALWAYS reschedules at a spin gate — the waiter needs
@@ -87,9 +89,7 @@ var runMu sync.Mutex
 // Point is the yield gate. Library code calls it at linearization points;
 // with no controller installed it costs one atomic load and an untaken
 // branch. Under a controller it may pass the run token to another worker,
-// i.e. context-switch the cooperative schedule. Goroutines registered via
-// BeginBystander (background reclaimers) bypass the schedule entirely — only
-// the token holder may touch the controller.
+// i.e. context-switch the cooperative schedule.
 //
 // Point holds only the armed test so the compiler inlines it into every
 // gated hot path (scripts/check.sh quick fails if it stops doing so);
@@ -102,13 +102,14 @@ func Point(k Kind) {
 
 // pointSlow is Point under an installed controller. It reloads the
 // controller: Run may have uninstalled it since Point's test, in which case
-// the gate is a no-op exactly as if the test had failed.
+// the gate is a no-op exactly as if the test had failed. It is kept out of
+// line so that inlining it does not push Point over the inliner's budget.
+//
+//go:noinline
 func pointSlow(k Kind) {
-	c := active.Load()
-	if c == nil || bystanderN.Load() != 0 && isBystander() {
-		return
+	if c := active.Load(); c != nil {
+		c.point(k)
 	}
-	c.point(k)
 }
 
 // Enabled reports whether a controller is currently installed — used by

@@ -135,16 +135,6 @@ func (d *Domain) Retire(h *reclaim.Handle, ref mem.Ref) {
 	ref = ref.Unmarked()
 	h.Words[0].Store(unassigned)
 	h.PushRetired(ref)
-	// With the background reclamation pipeline running, the grace-period
-	// wait itself moves off the retire path: batches accumulate to the scan
-	// threshold and are handed off, and the worker synchronizes before
-	// freeing (Scan below). At the backpressure watermark TryOffload fails
-	// and the caller degrades to the inline wait-and-free it always did.
-	if h.Offloading() {
-		if !h.ScanDue() || h.TryOffload() {
-			return
-		}
-	}
 	d.Synchronize()
 	// Synchronize carries no session (tests call it directly), so the era
 	// advance it performed is attributed to the retiring session here.
@@ -152,25 +142,6 @@ func (d *Domain) Retire(h *reclaim.Handle, ref mem.Ref) {
 	// After the grace period the object is unreachable by construction.
 	h.NoteScan()
 	rlist := h.Retired()
-	for _, obj := range rlist {
-		h.FreeRetired(obj)
-	}
-	h.SetRetired(rlist[:0])
-	h.NoteScanEnd()
-}
-
-// Scan waits one full grace period and then frees the session's entire
-// retired list — the entry point the background reclamation pipeline
-// dispatches through. Every batch it receives was retired before the
-// handoff, so one Synchronize covers the whole list.
-func (d *Domain) Scan(h *reclaim.Handle) {
-	h.AdoptOrphans()
-	rlist := h.Retired()
-	if len(rlist) == 0 {
-		return
-	}
-	d.Synchronize()
-	h.NoteScan()
 	for _, obj := range rlist {
 		h.FreeRetired(obj)
 	}

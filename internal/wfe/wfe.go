@@ -158,10 +158,7 @@ type Domain struct {
 	adoptFails atomic.Int64 // certificates discarded after failed validation
 }
 
-var (
-	_ reclaim.Domain  = (*Domain)(nil)
-	_ reclaim.Scanner = (*Domain)(nil)
-)
+var _ reclaim.Domain = (*Domain)(nil)
 
 // Option configures the domain.
 type Option func(*Domain)
@@ -293,8 +290,8 @@ func (d *Domain) ensure(h *reclaim.Handle) {
 	d.ann.Store(&tbl)
 }
 
-// state returns h's announcement record. Sessions registered through Base
-// directly (the offload pipeline's workers) fall through to ensure here.
+// state returns h's announcement record. A session that reached the domain
+// without Register/Acquire falls through to ensure here.
 func (d *Domain) state(h *reclaim.Handle) *annState {
 	if tbl := *d.ann.Load(); h.ID() < len(tbl) {
 		if st := tbl[h.ID()]; st != nil {
@@ -529,14 +526,14 @@ func (d *Domain) Retire(h *reclaim.Handle, ref mem.Ref) {
 		// its own Add.
 		h.ObsEra(d.eraClock.Add(1))
 	}
-	if h.ScanDue() && !h.TryOffload() {
+	if h.ScanDue() {
 		d.scan(h)
 	}
 }
 
 // Scan runs one reclamation pass over the session's retired list. Retire
-// calls it at the scan threshold; the offload pipeline calls it on worker
-// sessions; it is exported as the ScanNow escape hatch.
+// calls it at the scan threshold; it is exported as the ScanNow escape
+// hatch.
 func (d *Domain) Scan(h *reclaim.Handle) { d.scan(h) }
 
 // scan is HE's standard-mode scan over every published cell — protection

@@ -250,36 +250,6 @@ done
 kill "$obspid" 2>/dev/null || true
 wait "$obspid" 2>/dev/null || true
 grep -q '"scheme":"HE"' "$obstmp/pending.jsonl" || { echo "sampler JSONL empty"; exit 1; }
-echo "== offload (pipeline safety under -race, shutdown, backpressure, live scrape) =="
-go test -race -run 'TestOffload|TestDrainFoldsPooledHandleResidue' ./internal/reclaim/
-"$obstmp/hebench" -exp fig4 -dur 100ms -threads 2 -sizes 100 -updates 100 \
-  -offload 2 -metrics 127.0.0.1:0 -hold 60s \
-  > "$obstmp/hebench-off.out" 2>&1 &
-offpid=$!
-offaddr=""
-for _ in $(seq 1 150); do
-  offaddr=$(sed -n 's|^metrics: http://\([^/]*\)/metrics$|\1|p' "$obstmp/hebench-off.out")
-  [ -n "$offaddr" ] && break
-  sleep 0.2
-done
-[ -n "$offaddr" ] || { echo "hebench -offload never announced its metrics address"; cat "$obstmp/hebench-off.out"; exit 1; }
-for _ in $(seq 1 150); do
-  curl -sf "http://$offaddr/metrics" 2>/dev/null | grep -q 'smr_offload_handoffs_total{scheme="HE"}' && break
-  sleep 0.2
-done
-offscrape=$(curl -sf "http://$offaddr/metrics")
-for series in \
-  'smr_offload_workers{scheme="HE"}' \
-  'smr_offload_queue_refs{scheme="HE"}' \
-  'smr_offload_queue_bytes{scheme="HE"}' \
-  'smr_offload_watermark_bytes{scheme="HE"}' \
-  'smr_offload_handoffs_total{scheme="HE"}' \
-  'smr_offload_fallback_total{scheme="HE"}' \
-  'smr_offload_latency_ns_bucket{scheme="HE"'; do
-  echo "$offscrape" | grep -qF "$series" || { echo "missing series: $series"; exit 1; }
-done
-kill "$offpid" 2>/dev/null || true
-wait "$offpid" 2>/dev/null || true
 echo "== observability overhead (enabled vs disabled) =="
 go test -run '^$' -bench 'RetireScanObs|HandleOpsObs' -benchtime 200ms -cpu 8 ./internal/reclaim/
 echo "== arena (size classes: slab growth + magazine churn races, byte-value structures) =="

@@ -62,12 +62,12 @@ type Allocator = reclaim.Allocator
 
 // Config carries the construction parameters common to all schemes —
 // MaxThreads (initial session capacity; the registry grows on demand),
-// Slots (protection indices per session), ScanR (scan amortization),
-// Instrument (reader-side op counting) and Offload (background
-// reclamation pipeline). Every field is fixed at construction. With the
-// zero value a session scans once per H retires since its last scan, H =
-// sessions registered × Slots (Michael's R = H + Ω(H) rule with ScanR 1),
-// and reclaims inline. The paper's scan on every retire is the backend's
+// Slots (protection indices per session), ScanR (scan amortization) and
+// Instrument (reader-side op counting). Every field is fixed at
+// construction. With the zero value a session scans once per H retires
+// since its last scan, H = sessions registered × Slots (Michael's
+// R = H + Ω(H) rule with ScanR 1); the retiring session scans and frees
+// inline, as the paper's Algorithm 3 does. The paper's scan on every retire is the backend's
 // SetScanThreshold(1), called from a Factory passed to NewWith.
 type Config = reclaim.Config
 
@@ -80,10 +80,6 @@ type Instrument = reclaim.Instrument
 
 // NewInstrument allocates instrumentation counters for maxThreads ids.
 func NewInstrument(maxThreads int) *Instrument { return reclaim.NewInstrument(maxThreads) }
-
-// OffloadConfig configures the background reclamation pipeline
-// (Config.Offload).
-type OffloadConfig = reclaim.OffloadConfig
 
 // Factory constructs a reclamation backend over an allocator. The factories
 // in internal/bench and the Scheme.Factory method both have this shape;
