@@ -11,11 +11,14 @@
 //	hebench -exp fig4 -grow        # undersized registries: exercise slot-block growth
 //
 // Experiments: fig4, table1, bound, kadvance, minmax, stalled, oversub,
-// rfactor, schemes, api, all. The api experiment is the public-vs-internal
-// overhead A/B over the smr package; -api selects its sides
-// (public|internal|both). The schemes experiment is the roster throughput
+// rfactor, schemes, all. The schemes experiment is the roster throughput
 // comparison behind BENCH_schemes.json (hyaline-1r, hyaline and WFE
-// alongside the rest).
+// alongside the rest), timed with interleaved slices. The cost the smr
+// Guard adds over the internal session handle is read from cmd/heperf's
+// traced ledger (smr.load_ns against reclaim.handle_protect_ns).
+//
+// Every -threads and -sizes entry must be at least 1 and every -updates
+// entry at most 100; anything else exits with status 2.
 //
 // Every domain runs the default configuration: the retiring session scans
 // inline once per ScanR·H retires since its last scan (H = sessions
@@ -26,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -37,8 +41,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "fig4", "experiment: fig4|table1|bound|kadvance|minmax|stalled|oversub|rfactor|schemes|api|all")
-		api     = flag.String("api", "both", "sides of the -exp api comparison: public|internal|both")
+		exp     = flag.String("exp", "fig4", "experiment: fig4|table1|bound|kadvance|minmax|stalled|oversub|rfactor|schemes|all")
 		dur     = flag.Duration("dur", 200*time.Millisecond, "measured duration per benchmark cell")
 		threads = flag.String("threads", "1,2,4,8", "comma-separated worker counts")
 		sizes   = flag.String("sizes", "100,1000,10000", "comma-separated list sizes (fig4)")
@@ -50,6 +53,11 @@ func main() {
 	envFlags := bench.RegisterEnvFlags(flag.CommandLine)
 	flag.Parse()
 
+	threadList, sizeList, updateList, err := parseGrid(*threads, *sizes, *updates)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	env, closeEnv, err := envFlags.Env()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -62,9 +70,9 @@ func main() {
 
 	o := bench.Options{
 		Dur:     *dur,
-		Threads: parseInts(*threads),
-		Updates: parseInts(*updates),
-		Sizes:   parseUints(*sizes),
+		Threads: threadList,
+		Updates: updateList,
+		Sizes:   sizeList,
 		Seed:    *seed,
 		CSV:     *csv,
 		Grow:    envFlags.Grow,
@@ -101,8 +109,6 @@ func main() {
 			bench.RFactor(os.Stdout, o)
 		case "schemes":
 			bench.SchemesCompare(os.Stdout, o)
-		case "api":
-			bench.APICompare(os.Stdout, o, *api)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			flag.Usage()
@@ -110,7 +116,7 @@ func main() {
 		}
 	}
 	if *exp == "all" {
-		for _, name := range []string{"table1", "fig4", "bound", "kadvance", "rfactor", "minmax", "oversub", "stalled", "schemes", "api"} {
+		for _, name := range []string{"table1", "fig4", "bound", "kadvance", "rfactor", "minmax", "oversub", "stalled", "schemes"} {
 			run(name)
 		}
 		return
@@ -120,23 +126,38 @@ func main() {
 	}
 }
 
-func parseInts(s string) []int {
+// parseGrid parses the -threads, -sizes and -updates lists. Every entry
+// must be an integer, thread counts and sizes at least 1 (a size of 0 has
+// no key to draw) and update percentages in 0..100.
+func parseGrid(threads, sizes, updates string) (th []int, sz []uint64, upd []int, err error) {
+	if th, err = parseInts("threads", threads, 1, math.MaxInt); err != nil {
+		return nil, nil, nil, err
+	}
+	ns, err := parseInts("sizes", sizes, 1, math.MaxInt)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for _, n := range ns {
+		sz = append(sz, uint64(n))
+	}
+	if upd, err = parseInts("updates", updates, 0, 100); err != nil {
+		return nil, nil, nil, err
+	}
+	return th, sz, upd, nil
+}
+
+func parseInts(name, s string, lo, hi int) ([]int, error) {
+	want := fmt.Sprintf("an integer >= %d", lo)
+	if hi < math.MaxInt {
+		want = fmt.Sprintf("an integer in %d..%d", lo, hi)
+	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 0 {
-			fmt.Fprintf(os.Stderr, "bad integer list entry %q\n", part)
-			os.Exit(2)
+		if err != nil || n < lo || n > hi {
+			return nil, fmt.Errorf("bad -%s entry %q: want %s", name, part, want)
 		}
 		out = append(out, n)
 	}
-	return out
-}
-
-func parseUints(s string) []uint64 {
-	var out []uint64
-	for _, n := range parseInts(s) {
-		out = append(out, uint64(n))
-	}
-	return out
+	return out, nil
 }

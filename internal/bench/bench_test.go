@@ -2,11 +2,13 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/reclaim"
 	"repro/smr"
 )
 
@@ -252,6 +254,37 @@ func TestExperimentDriversSmoke(t *testing.T) {
 	Oversubscription(&buf, mini)
 	if !strings.Contains(buf.String(), "Oversubscription") || !strings.Contains(buf.String(), "EBR") {
 		t.Fatalf("Oversubscription output malformed:\n%s", buf.String())
+	}
+}
+
+// TestRosterMediansFixtures runs the slice rotation behind SchemesCompare
+// briefly over HE and HP for every roster fixture: each scheme's median is
+// a finite positive ns/op, and each fixture's teardown leaves the one
+// domain it built with nothing pending.
+func TestRosterMediansFixtures(t *testing.T) {
+	for _, rw := range rosterWorkloads() {
+		var doms []reclaim.Domain
+		var schemes []Scheme
+		for _, s := range schemesOf(smr.HE, smr.HP) {
+			mk := s.Make
+			schemes = append(schemes, Scheme{s.Name, func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
+				d := mk(a, c)
+				doms = append(doms, d)
+				return d
+			}})
+		}
+		meds := rosterMedians(Env{}, 3, 100, schemes, rw.fixture)
+		if len(meds) != len(schemes) || len(doms) != len(schemes) {
+			t.Fatalf("%s: %d medians, %d domains for %d schemes", rw.name, len(meds), len(doms), len(schemes))
+		}
+		for i, s := range schemes {
+			if m := meds[i]; !(m > 0) || math.IsInf(m, 0) {
+				t.Errorf("%s/%s: median %v ns/op, want finite and positive", rw.name, s.Name, m)
+			}
+			if p := doms[i].Stats().Pending; p != 0 {
+				t.Errorf("%s/%s: %d pending after teardown", rw.name, s.Name, p)
+			}
+		}
 	}
 }
 

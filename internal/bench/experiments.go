@@ -132,31 +132,41 @@ func Figure4(w io.Writer, o Options) {
 	for _, size := range o.Sizes {
 		for _, upd := range o.Updates {
 			Section(w, "Figure 4 panel: list size=%d, updates=%d%%, %v/cell", size, upd, o.Dur)
-			head := []string{"threads"}
-			for _, s := range schemes {
-				head = append(head, s.Name+" Mops", s.Name+"/HP")
-			}
-			tbl := NewTable(head...)
+			var wls []Workload
 			for _, th := range o.Threads {
-				wl := Workload{Size: size, UpdatePercent: upd, Threads: th, Grow: o.Grow}
-				row := []any{th}
-				var hpMops float64
-				for _, s := range schemes {
-					res := o.Env.RunCell(s, wl, o.Dur, o.Seed)
-					if s.Name == "HP" {
-						hpMops = res.MopsPerSec
-					}
-					ratio := 0.0
-					if hpMops > 0 {
-						ratio = res.MopsPerSec / hpMops
-					}
-					row = append(row, res.MopsPerSec, ratio)
-				}
-				tbl.Row(row...)
+				wls = append(wls, Workload{Size: size, UpdatePercent: upd, Threads: th, Grow: o.Grow})
 			}
-			o.emit(w, tbl)
+			o.emit(w, o.hpNormalized(schemes, wls))
 		}
 	}
+}
+
+// hpNormalized runs one cell per workload and scheme and tabulates, per
+// workload's thread count, each scheme's Mops/s next to its ratio to HP's.
+// schemes must list HP first.
+func (o Options) hpNormalized(schemes []Scheme, wls []Workload) *Table {
+	head := []string{"threads"}
+	for _, s := range schemes {
+		head = append(head, s.Name+" Mops", s.Name+"/HP")
+	}
+	tbl := NewTable(head...)
+	for _, wl := range wls {
+		row := []any{wl.Threads}
+		var hpMops float64
+		for _, s := range schemes {
+			res := o.Env.RunCell(s, wl, o.Dur, o.Seed)
+			if s.Name == "HP" {
+				hpMops = res.MopsPerSec
+			}
+			ratio := 0.0
+			if hpMops > 0 {
+				ratio = res.MopsPerSec / hpMops
+			}
+			row = append(row, res.MopsPerSec, ratio)
+		}
+		tbl.Row(row...)
+	}
+	return tbl
 }
 
 // table1Static is the qualitative half of the paper's Table 1, reprinted.
@@ -386,31 +396,11 @@ func Oversubscription(w io.Writer, o Options) {
 	wlSize := uint64(100)
 	upd := 50
 	Section(w, "Oversubscription: list size=%d, updates=%d%%, NumCPU=%d", wlSize, upd, cores)
-	schemes := schemesOf(smr.HP, smr.HE, smr.EBR, smr.URCU)
-	head := []string{"threads"}
-	for _, s := range schemes {
-		head = append(head, s.Name+" Mops", s.Name+"/HP")
-	}
-	tbl := NewTable(head...)
+	var wls []Workload
 	for _, mult := range []int{1, 2, 8, 32} {
-		th := cores * mult
-		wl := Workload{Size: wlSize, UpdatePercent: upd, Threads: th, Grow: o.Grow}
-		row := []any{th}
-		var hpMops float64
-		for _, s := range schemes {
-			res := o.Env.RunCell(s, wl, o.Dur, o.Seed)
-			if s.Name == "HP" {
-				hpMops = res.MopsPerSec
-			}
-			ratio := 0.0
-			if hpMops > 0 {
-				ratio = res.MopsPerSec / hpMops
-			}
-			row = append(row, res.MopsPerSec, ratio)
-		}
-		tbl.Row(row...)
+		wls = append(wls, Workload{Size: wlSize, UpdatePercent: upd, Threads: cores * mult, Grow: o.Grow})
 	}
-	o.emit(w, tbl)
+	o.emit(w, o.hpNormalized(schemesOf(smr.HP, smr.HE, smr.EBR, smr.URCU), wls))
 	fmt.Fprintln(w, "Shape check: EBR degrades sharply as threads exceed cores (stalled epochs")
 	fmt.Fprintln(w, "inflate its retire-scan work); HP/HE hold steady. URCU degrades less here")
 	fmt.Fprintln(w, "than on the paper's testbed because the Go scheduler reschedules a")

@@ -1,7 +1,6 @@
 package reclaim_test
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/mem"
@@ -31,31 +30,6 @@ func BenchmarkHandleChurn(b *testing.B) {
 				for pb.Next() {
 					h := d.Acquire()
 					d.Release(h)
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkHandleOps measures the steady-state per-operation dispatch cost
-// through a live handle (the path the old tid-indexed API optimized for):
-// one BeginOp/Protect/EndOp round against a private cell.
-func BenchmarkHandleOps(b *testing.B) {
-	for _, s := range retireSchemes() {
-		b.Run(s.name, func(b *testing.B) {
-			arena := mem.NewArena[bnode]()
-			d := s.mk(arena)
-			b.RunParallel(func(pb *testing.PB) {
-				h := d.Register()
-				defer d.Unregister(h)
-				ref, _ := arena.AllocAt(h.ID())
-				d.OnAlloc(ref)
-				var cell atomic.Uint64
-				cell.Store(uint64(ref))
-				for pb.Next() {
-					d.BeginOp(h)
-					d.Protect(h, 0, &cell)
-					d.EndOp(h)
 				}
 			})
 		})

@@ -46,7 +46,10 @@ fi
 
 if [ "$mode" = "api" ]; then
   # Public-surface gate (CI job check-api): the smr package's lifecycle
-  # contract and its zero-overhead bar, in isolation and fast.
+  # contract (misuse panics) and its zero-allocation steady state, in
+  # isolation and fast. What the Guard costs in time over the internal
+  # handle is read from cmd/heperf's traced ledger (smr.load_ns against
+  # reclaim.handle_protect_ns), not timed here.
   echo "== public API (vet) =="
   go vet ./smr/ .
   echo "== public API misuse panics (race) =="
@@ -55,8 +58,6 @@ if [ "$mode" = "api" ]; then
   # AllocsPerRun is meaningless under -race instrumentation, so this gate
   # runs uninstrumented.
   go test -count=1 -run 'TestAllocFreeSteadyState' -v ./smr/
-  echo "== public API A/B smoke (hebench -exp api -api public) =="
-  go run ./cmd/hebench -exp api -api public
   echo "ALL CHECKS PASSED (api)"
   exit 0
 fi
@@ -112,9 +113,13 @@ if [ "$mode" = "health" ]; then
   done
   [ -n "$haddr" ] || { echo "hebench never announced its metrics address"; cat "$htmp/hebench.out"; exit 1; }
   # EBR is last in the stalled roster, so its series appearing means every
-  # scheme asserted below has registered its domain.
+  # scheme asserted below has registered its domain. Each body is captured
+  # whole before it is searched: grep -q exits at its first match, and
+  # under pipefail a curl still writing into the closed pipe would fail
+  # the check.
   for _ in $(seq 1 300); do
-    curl -sf "http://$haddr/metrics" 2>/dev/null | grep -q 'smr_retired_total{scheme="EBR"}' && break
+    hscrape=$(curl -sf "http://$haddr/metrics" 2>/dev/null || true)
+    grep -qF 'smr_retired_total{scheme="EBR"}' <<<"$hscrape" && break
     sleep 0.2
   done
   hscrape=$(curl -sf "http://$haddr/metrics")
@@ -127,9 +132,10 @@ if [ "$mode" = "health" ]; then
     'smr_hyaline_handoff_depth_max{scheme="hyaline' \
     '# TYPE smr_alerts_total counter' \
     '# TYPE smr_alert_active gauge'; do
-    echo "$hscrape" | grep -qF "$series" || { echo "missing series: $series"; exit 1; }
+    grep -qF "$series" <<<"$hscrape" || { echo "missing series: $series"; exit 1; }
   done
-  curl -sf "http://$haddr/alerts.json" | grep -q '"status"' || { echo "/alerts.json missing status"; exit 1; }
+  halerts=$(curl -sf "http://$haddr/alerts.json") || { echo "/alerts.json scrape failed"; exit 1; }
+  grep -q '"status"' <<<"$halerts" || { echo "/alerts.json missing status"; exit 1; }
   kill "$hpid" 2>/dev/null || true
   wait "$hpid" 2>/dev/null || true
   echo "== heanalyze offline pass over the recorded spans =="
@@ -226,8 +232,10 @@ done
 # Let the stalled experiment populate the domains, then scrape. EBR is
 # last in the stalled roster (after WFE and both hyaline variants), so its
 # series appearing means every scheme asserted below has registered.
+# Bodies are captured whole before grep -q reads them, as in the health mode.
 for _ in $(seq 1 300); do
-  curl -sf "http://$addr/metrics" 2>/dev/null | grep -q 'smr_retired_total{scheme="EBR"}' && break
+  scrape=$(curl -sf "http://$addr/metrics" 2>/dev/null || true)
+  grep -qF 'smr_retired_total{scheme="EBR"}' <<<"$scrape" && break
   sleep 0.2
 done
 scrape=$(curl -sf "http://$addr/metrics")
@@ -239,11 +247,12 @@ for series in \
   'smr_scan_latency_ns_bucket{scheme="HE"' \
   'smr_retired_total{scheme="EBR"}' \
   'smr_retired_total{scheme="HP"}'; do
-  echo "$scrape" | grep -qF "$series" || { echo "missing series: $series"; exit 1; }
+  grep -qF "$series" <<<"$scrape" || { echo "missing series: $series"; exit 1; }
 done
 jsonok=""
 for _ in $(seq 1 25); do
-  curl -sf "http://$addr/metrics.json" 2>/dev/null | grep -q '"scheme"' && { jsonok=1; break; }
+  mjson=$(curl -sf "http://$addr/metrics.json" 2>/dev/null || true)
+  grep -q '"scheme"' <<<"$mjson" && { jsonok=1; break; }
   sleep 0.2
 done
 [ -n "$jsonok" ] || { echo "/metrics.json empty"; exit 1; }

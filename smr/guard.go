@@ -22,8 +22,8 @@ const (
 // call to an out-of-line message constructor would charge the inliner's
 // full call cost against every wrapper and push BeginOp/EndOp/Load past
 // the inlining budget. A constant panic costs the inliner almost nothing,
-// which is what keeps every Guard method inlinable (the zero-overhead bar;
-// see DESIGN.md "Why Guard is a concrete struct").
+// which is what keeps every Guard method inlinable (see DESIGN.md "Why
+// Guard is a concrete struct").
 const (
 	msgReleased = " on a released Guard " +
 		"(Release returned the session to the domain pool; acquire a fresh " +
