@@ -2,10 +2,12 @@
 // hebench/hestress serve with -metrics. It polls /metrics.json (and, with
 // -events, /events.json) and renders a per-scheme dashboard: reclamation
 // counters, the robustness gauges (pending, era lag, stalled sessions),
-// sampled latency quantiles for the protect/retire/scan paths, and — when
-// the endpoint runs with -trace/-monitor — reclamation-age quantiles, the
-// longest-pinned table, scheme-deep gauges, and the health monitor's
-// active alerts and transition log (/alerts.json).
+// scan-latency quantiles, the arena size-class table, scheme-deep gauges
+// (Hyaline handoff stacks, WFE helping counters), and — when the endpoint
+// runs with -trace/-monitor — reclamation-age quantiles, the longest-pinned
+// table, and the health monitor's active alerts and transition log
+// (/alerts.json). Nothing on the protect or retire path is timed, so there
+// is no per-operation latency row: heperf's ledger measures those paths.
 //
 // Usage:
 //
@@ -24,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/mem"
 	"repro/internal/obs"
 )
 
@@ -78,10 +81,9 @@ func render(client *http.Client, addr string, events int) (string, error) {
 			s.Scheme, s.Retired, s.Freed, s.Pending, s.PendingBytes, s.Scans, s.EraClock, lag, stalled, s.Dropped)
 	}
 
-	fmt.Fprintf(&b, "\n%-10s %-26s %-26s %-26s\n", "latency", "protect p50/p99/max", "retire p50/p99/max", "scan p50/p99/max")
+	fmt.Fprintf(&b, "\n%-10s %-26s %8s\n", "latency", "scan p50/p99/max", "scans")
 	for _, s := range snaps {
-		fmt.Fprintf(&b, "%-10s %-26s %-26s %-26s\n",
-			s.Scheme, quantiles(s.Protect), quantiles(s.Retire), quantiles(s.Scan))
+		fmt.Fprintf(&b, "%-10s %-26s %8d\n", s.Scheme, quantiles(s.Scan), s.Scan.Count)
 	}
 
 	// Lifecycle tracer: only schemes running with -trace carry the
@@ -128,7 +130,7 @@ func render(client *http.Client, addr string, events int) (string, error) {
 	// (byte-value mode) carry the gauges. Class 0 is the typed node slab;
 	// classes 1+ are the byte-payload ladder. Idle classes are elided.
 	for _, s := range snaps {
-		var active []obs.ArenaClass
+		var active []mem.ClassStat
 		for _, c := range s.Classes {
 			if c.Live != 0 || c.Allocs != 0 {
 				active = append(active, c)
@@ -171,8 +173,7 @@ func render(client *http.Client, addr string, events int) (string, error) {
 	}
 
 	// Scheme-deep gauges: whatever the scheme registered beyond the generic
-	// reclamation set — Hyaline handoff stacks and batch ages, WFE helping
-	// counters.
+	// reclamation set — Hyaline handoff stacks, WFE helping counters.
 	for _, s := range snaps {
 		if len(s.SchemeMetrics) == 0 {
 			continue
@@ -188,8 +189,6 @@ func render(client *http.Client, addr string, events int) (string, error) {
 					parts = append(parts, "-")
 				}
 				fmt.Fprintf(&b, "  %-36s %s\n", m.Name, strings.Join(parts, " "))
-			} else if strings.HasSuffix(m.Name, "_ns") {
-				fmt.Fprintf(&b, "  %-36s %s\n", m.Name, ns(m.Value))
 			} else {
 				fmt.Fprintf(&b, "  %-36s %d\n", m.Name, m.Value)
 			}

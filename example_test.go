@@ -4,13 +4,14 @@ import (
 	"fmt"
 
 	"repro"
+	"repro/smr"
 )
 
 // ExampleNewList shows the paper's API end to end: construct a domain over
 // the structure's arena, register a thread id, and let the structure drive
 // get_protected/clear/retire/getEra internally.
 func ExampleNewList() {
-	l := repro.NewList(func(a repro.Allocator, c repro.Config) repro.Domain {
+	l := repro.NewList(func(a smr.Allocator, c smr.Config) smr.Backend {
 		return repro.NewHazardEras(a, c)
 	})
 	h := l.Register()
@@ -32,8 +33,8 @@ func ExampleNewList() {
 // lifetime.
 func ExampleNewHazardEras() {
 	type node struct{ v uint64 }
-	arena := repro.NewArena[node]()
-	he := repro.NewHazardEras(arena, repro.Config{MaxThreads: 2, Slots: 1})
+	arena := smr.NewArena[node]()
+	he := repro.NewHazardEras(arena, smr.Config{MaxThreads: 2, Slots: 1})
 	h := he.Register()
 	defer he.Unregister(h)
 
@@ -50,7 +51,7 @@ func ExampleNewHazardEras() {
 
 // ExampleNewSkipList shows ordered range scans under protection.
 func ExampleNewSkipList() {
-	s := repro.NewSkipList(func(a repro.Allocator, c repro.Config) repro.Domain {
+	s := repro.NewSkipList(func(a smr.Allocator, c smr.Config) smr.Backend {
 		return repro.NewHazardEras(a, c)
 	})
 	h := s.Register()

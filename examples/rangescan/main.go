@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/smr"
 )
 
 const (
@@ -27,7 +28,7 @@ const (
 	duration = 600 * time.Millisecond
 )
 
-func heFactory(a repro.Allocator, c repro.Config) repro.Domain {
+func heFactory(a smr.Allocator, c smr.Config) smr.Backend {
 	return repro.NewHazardEras(a, c)
 }
 

@@ -4,7 +4,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/list"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/reclaim"
 	"repro/internal/schedtest"
 	"repro/smr"
@@ -93,5 +95,61 @@ func TestStalledReaderBounds(t *testing.T) {
 				t.Errorf("%s seed=%d: pending=%d after release and drain", tc.scheme.Name, seed, s.Pending)
 			}
 		}
+	}
+}
+
+// TestPendingBudgetToleratesStalledPin is the Figure-4 stall read through
+// the health monitor: a reader parks on a 100-key list while 20k updates
+// churn it, and the monitor steps (raising on the first breach) after each
+// chunk. A robust scheme's pending set grows to the live set at the stall,
+// which Equation 1 allows, so HE, WFE and hyaline-1r must raise no
+// pending-budget alert; EBR's runaway must raise one.
+func TestPendingBudgetToleratesStalledPin(t *testing.T) {
+	const size, churn, chunk = 100, 20000, 1000
+	for _, tc := range []struct {
+		scheme  Scheme
+		runaway bool
+	}{
+		{Of(smr.HE), false},
+		{Of(smr.WFE), false},
+		{Of(smr.Hyaline), false},
+		{Of(smr.EBR), true},
+	} {
+		t.Run(tc.scheme.Name, func(t *testing.T) {
+			hub := obs.NewHub()
+			l := list.New(Env{Hub: hub}.Wrap(EveryRetire(tc.scheme)).Make, list.WithMaxThreads(8))
+			Prefill(l, size)
+			release := make(chan struct{})
+			done := StalledReader(l, release)
+			m := obs.NewMonitor(obs.MonitorConfig{RaiseTicks: 1}, hub.Domains)
+			var raised []obs.Alert
+			m.SetOnAlert(func(a obs.Alert) {
+				if a.Invariant == "pending-budget" && a.State == "raise" {
+					raised = append(raised, a)
+				}
+			})
+			g := l.Register()
+			rng := NewSplitMix64(11)
+			for i := 1; i <= churn; i++ {
+				k := rng.Intn(size)
+				if l.Remove(g, k) {
+					l.Insert(g, k, k)
+				}
+				if i%chunk == 0 {
+					m.Step()
+				}
+			}
+			peak := l.Domain().Stats().PeakPending
+			g.Unregister()
+			close(release)
+			<-done
+			l.Drain()
+			switch {
+			case tc.runaway && len(raised) == 0:
+				t.Errorf("stalled-reader runaway (peak pending %d) raised no pending-budget alert", peak)
+			case !tc.runaway && len(raised) != 0:
+				t.Errorf("bounded stall (peak pending %d) raised %+v", peak, raised[0])
+			}
+		})
 	}
 }

@@ -275,7 +275,7 @@ func (d *Eras) Retire(h *reclaim.Handle, ref mem.Ref) {
 		schedtest.Point(schedtest.PointEra)
 		// Benign race, exactly as the paper's line 51: two threads may both
 		// advance, which only makes eras pass faster.
-		h.ObsEra(d.eraClock.Add(1))
+		d.eraClock.Add(1)
 	}
 	if h.ScanDue() {
 		d.scan(h)

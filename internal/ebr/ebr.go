@@ -106,7 +106,7 @@ func (d *Domain) Retire(h *reclaim.Handle, ref mem.Ref) {
 	e := d.globalEpoch.Load()
 	d.Alloc.Header(ref).RetireEra = e
 	h.PushRetired(ref)
-	d.tryAdvance(h, e)
+	d.tryAdvance(e)
 	if h.ScanDue() {
 		d.scan(h)
 	}
@@ -115,7 +115,7 @@ func (d *Domain) Retire(h *reclaim.Handle, ref mem.Ref) {
 // tryAdvance bumps the global epoch iff every active session has announced
 // the current epoch. The walk covers every session ever registered;
 // quiescent and free slots announce 0 and cannot block the advance.
-func (d *Domain) tryAdvance(h *reclaim.Handle, observed uint64) {
+func (d *Domain) tryAdvance(observed uint64) {
 	walk := d.Sessions()
 	for slots := walk.Next(); slots != nil; slots = walk.Next() {
 		for i := range slots {
@@ -127,9 +127,7 @@ func (d *Domain) tryAdvance(h *reclaim.Handle, observed uint64) {
 	}
 	// CAS so concurrent retirers advance at most once per observation.
 	schedtest.Point(schedtest.PointEra)
-	if d.globalEpoch.CompareAndSwap(observed, observed+1) {
-		h.ObsEra(observed + 1)
-	}
+	d.globalEpoch.CompareAndSwap(observed, observed+1)
 }
 
 // Scan runs one reclamation pass over the session's retired list regardless
@@ -156,7 +154,7 @@ func (d *Domain) scan(h *reclaim.Handle) {
 // scanning session to adopt.
 func (d *Domain) Unregister(h *reclaim.Handle) {
 	h.Words[0].Store(0)
-	d.tryAdvance(h, d.globalEpoch.Load())
+	d.tryAdvance(d.globalEpoch.Load())
 	d.scan(h)
 	h.Abandon()
 	d.Base.Unregister(h)

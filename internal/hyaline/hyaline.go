@@ -94,11 +94,7 @@ const noneEra = 0
 type batch struct {
 	refs     []mem.Ref
 	minBirth uint64
-	// sealT is the obs.Now() timestamp at sealing, stamped only when the
-	// sealing session is observed (0 otherwise); the batch-age gauges
-	// read it. Immutable after scan publishes the batch.
-	sealT int64
-	rc    atomic.Int64
+	rc       atomic.Int64
 }
 
 // handNode links one batch into one session's handoff stack.
@@ -157,10 +153,6 @@ type Domain struct {
 	advanceEvery uint64
 	robust       bool
 	mutation     TestingMutation
-
-	// handoffs counts handoff-stack insertions across all scans — the
-	// scheme-deep telemetry counter behind smr_hyaline_handoff_total.
-	handoffs atomic.Int64
 }
 
 var _ reclaim.Domain = (*Domain)(nil)
@@ -399,7 +391,7 @@ func (d *Domain) Retire(h *reclaim.Handle, ref mem.Ref) {
 	h.RetireCount++
 	if h.RetireCount%d.advanceEvery == 0 && d.eraClock.Load() == currEra {
 		schedtest.Point(schedtest.PointEra)
-		h.ObsEra(d.eraClock.Add(1))
+		d.eraClock.Add(1)
 	}
 	if h.ScanDue() {
 		d.scan(h)
@@ -433,9 +425,6 @@ func (d *Domain) scan(h *reclaim.Handle) {
 			b.minBirth = e
 		}
 	}
-	// Seal timestamp for the batch-age gauges; zero without obs attached,
-	// so the production scan never reads the clock.
-	b.sealT = h.ObsNow()
 
 	var inserted int64
 	for _, st := range *d.hand.Load() {
@@ -468,7 +457,6 @@ func (d *Domain) scan(h *reclaim.Handle) {
 			}
 		}
 	}
-	d.handoffs.Add(inserted)
 	if inserted > 0 {
 		// Sampled lifecycle spans: every traced ref in the batch changed
 		// hands to `inserted` receiving sessions. One nil-gated call per ref,
@@ -543,16 +531,13 @@ func (d *Domain) EnableObs(od *obs.Domain) {
 // domain's Snapshot path (collection cadence, not hot path). The walk is
 // safe against concurrent retirers and leavers: a loaded head's chain is
 // immutable (nodes fully written before the publishing CAS; EndOp detaches
-// by swap and never edits next pointers), and only pointer identity and the
-// immutable sealT are read from batches — never refs, which may already be
-// freed by the time the walk reaches an old node.
+// by swap and never edits next pointers), and only pointer identity is read
+// from batches — never refs, which may already be freed by the time the
+// walk reaches an old node.
 func (d *Domain) schemeMetrics() []obs.SchemeMetric {
-	now := obs.Now()
 	var (
 		depths   []obs.LabeledValue
 		maxDepth int64
-		ageMax   int64
-		ageSum   int64
 	)
 	seen := make(map[*batch]struct{})
 	for id, st := range *d.hand.Load() {
@@ -562,17 +547,7 @@ func (d *Domain) schemeMetrics() []obs.SchemeMetric {
 		depth := int64(0)
 		for n := st.head.Load(); n != nil && n != inactiveNode; n = n.next {
 			depth++
-			if _, dup := seen[n.b]; !dup {
-				seen[n.b] = struct{}{}
-				if t := n.b.sealT; t > 0 {
-					if age := now - t; age > 0 {
-						if age > ageMax {
-							ageMax = age
-						}
-						ageSum += age
-					}
-				}
-			}
+			seen[n.b] = struct{}{}
 		}
 		if depth > 0 {
 			depths = append(depths, obs.LabeledValue{Label: strconv.Itoa(id), Value: depth})
@@ -596,28 +571,10 @@ func (d *Domain) schemeMetrics() []obs.SchemeMetric {
 			Value: maxDepth,
 		},
 		{
-			Name:  "smr_hyaline_handoff_total",
-			Help:  "Handoff-stack insertions across all distribution walks.",
-			Kind:  "counter",
-			Value: d.handoffs.Load(),
-		},
-		{
 			Name:  "smr_hyaline_batches_inflight",
 			Help:  "Distinct sealed batches currently held on handoff stacks.",
 			Kind:  "gauge",
 			Value: int64(len(seen)),
-		},
-		{
-			Name:  "smr_hyaline_batch_age_max_ns",
-			Help:  "Age of the oldest sealed batch still on a handoff stack.",
-			Kind:  "gauge",
-			Value: ageMax,
-		},
-		{
-			Name:  "smr_hyaline_batch_age_sum_ns",
-			Help:  "Summed age of sealed batches on handoff stacks (with smr_hyaline_batches_inflight, the mean batch age).",
-			Kind:  "gauge",
-			Value: ageSum,
 		},
 	}
 }

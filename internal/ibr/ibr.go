@@ -159,7 +159,7 @@ func (d *Domain) Retire(h *reclaim.Handle, ref mem.Ref) {
 	h.RetireCount++
 	if h.RetireCount%d.advanceEvery == 0 && d.eraClock.Load() == currEra {
 		schedtest.Point(schedtest.PointEra)
-		h.ObsEra(d.eraClock.Add(1))
+		d.eraClock.Add(1)
 	}
 	if h.ScanDue() {
 		d.scan(h)

@@ -504,17 +504,17 @@ func (bc *byteClasses) validate(ref Ref) bool {
 // ClassStat is a per-size-class accounting snapshot (Class 0 is the arena's
 // typed slot class; 1..NumByteClasses are the byte ladder rungs).
 type ClassStat struct {
-	Class     int   // class id
-	Size      int   // payload capacity per block (typed: the value footprint)
-	Footprint int64 // total bytes per block including header
-	Allocs    int64
-	Frees     int64
-	Reuses    int64
-	Live      int64
-	Slabs     int64 // published slabs
-	Capacity  int64 // blocks addressable through published slabs
-	Spills    int64 // magazine→freelist batch moves
-	Refills   int64 // freelist→magazine batch moves
+	Class     int   `json:"class"`     // class id
+	Size      int   `json:"size"`      // payload capacity per block (typed: the value footprint)
+	Footprint int64 `json:"footprint"` // total bytes per block including header
+	Allocs    int64 `json:"allocs"`
+	Frees     int64 `json:"frees"`
+	Reuses    int64 `json:"reuses"`
+	Live      int64 `json:"live"`
+	Slabs     int64 `json:"slabs"`    // published slabs
+	Capacity  int64 `json:"capacity"` // blocks addressable through published slabs
+	Spills    int64 `json:"spills"`   // magazine→freelist batch moves
+	Refills   int64 `json:"refills"`  // freelist→magazine batch moves
 }
 
 // stats folds one class's central and striped counters.

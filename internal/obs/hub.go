@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/mem"
 )
 
 // Hub aggregates the observability domains of a process and exports them
@@ -281,7 +283,7 @@ func WriteMetrics(w io.Writer, snaps []DomainSnapshot) {
 
 	// Per-size-class arena series: emitted only for domains whose allocator
 	// exposes class accounting. Labelled by class id and payload size.
-	classGauge := func(name, help, kind string, val func(ArenaClass) int64) {
+	classGauge := func(name, help, kind string, val func(mem.ClassStat) int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
 		for _, s := range snaps {
 			for _, c := range s.Classes {
@@ -289,14 +291,14 @@ func WriteMetrics(w io.Writer, snaps []DomainSnapshot) {
 			}
 		}
 	}
-	classGauge("smr_arena_class_live", "Live blocks per arena size class.", "gauge", func(c ArenaClass) int64 { return c.Live })
-	classGauge("smr_arena_class_live_bytes", "Live bytes per arena size class (blocks x footprint).", "gauge", func(c ArenaClass) int64 { return c.Live * c.Footprint })
-	classGauge("smr_arena_class_capacity", "Blocks addressable through published slabs per size class.", "gauge", func(c ArenaClass) int64 { return c.Capacity })
-	classGauge("smr_arena_class_slabs", "Published slabs per size class.", "gauge", func(c ArenaClass) int64 { return c.Slabs })
-	classGauge("smr_arena_class_allocs_total", "Block allocations per size class.", "counter", func(c ArenaClass) int64 { return c.Allocs })
-	classGauge("smr_arena_class_frees_total", "Block frees per size class.", "counter", func(c ArenaClass) int64 { return c.Frees })
-	classGauge("smr_arena_class_spills_total", "Magazine-to-freelist batch spills per size class.", "counter", func(c ArenaClass) int64 { return c.Spills })
-	classGauge("smr_arena_class_refills_total", "Freelist-to-magazine batch refills per size class.", "counter", func(c ArenaClass) int64 { return c.Refills })
+	classGauge("smr_arena_class_live", "Live blocks per arena size class.", "gauge", func(c mem.ClassStat) int64 { return c.Live })
+	classGauge("smr_arena_class_live_bytes", "Live bytes per arena size class (blocks x footprint).", "gauge", func(c mem.ClassStat) int64 { return c.Live * c.Footprint })
+	classGauge("smr_arena_class_capacity", "Blocks addressable through published slabs per size class.", "gauge", func(c mem.ClassStat) int64 { return c.Capacity })
+	classGauge("smr_arena_class_slabs", "Published slabs per size class.", "gauge", func(c mem.ClassStat) int64 { return c.Slabs })
+	classGauge("smr_arena_class_allocs_total", "Block allocations per size class.", "counter", func(c mem.ClassStat) int64 { return c.Allocs })
+	classGauge("smr_arena_class_frees_total", "Block frees per size class.", "counter", func(c mem.ClassStat) int64 { return c.Frees })
+	classGauge("smr_arena_class_spills_total", "Magazine-to-freelist batch spills per size class.", "counter", func(c mem.ClassStat) int64 { return c.Spills })
+	classGauge("smr_arena_class_refills_total", "Freelist-to-magazine batch refills per size class.", "counter", func(c mem.ClassStat) int64 { return c.Refills })
 
 	// Equation-1 budget and lifecycle-tracer series: the budget gauge is
 	// emitted when the reclaim wiring installed one; the reclamation-age
@@ -349,25 +351,25 @@ func WriteMetrics(w io.Writer, snaps []DomainSnapshot) {
 		}
 	}
 
-	writeHist(w, "smr_protect_latency_ns", "Sampled protect-path latency.", snaps, func(s DomainSnapshot) HistSnapshot { return s.Protect })
-	writeHist(w, "smr_retire_latency_ns", "Sampled retire-path latency.", snaps, func(s DomainSnapshot) HistSnapshot { return s.Retire })
-	writeHist(w, "smr_scan_latency_ns", "Reclamation scan latency.", snaps, func(s DomainSnapshot) HistSnapshot { return s.Scan })
-
-	fmt.Fprintf(w, "# HELP smr_reclaim_age_ns Retire-to-free latency of traced refs (the live Equation-1 reading).\n# TYPE smr_reclaim_age_ns histogram\n")
-	for _, s := range snaps {
-		if !s.HasTrace {
-			continue
+	hist := func(name, help string, sel func(DomainSnapshot) (HistSnapshot, bool)) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+		for _, s := range snaps {
+			hs, ok := sel(s)
+			if !ok {
+				continue
+			}
+			var cum int64
+			for b, n := range hs.Buckets {
+				cum += n
+				fmt.Fprintf(w, "%s_bucket{scheme=%q,le=\"%d\"} %d\n", name, s.Scheme, BucketUpper(b), cum)
+			}
+			fmt.Fprintf(w, "%s_bucket{scheme=%q,le=\"+Inf\"} %d\n", name, s.Scheme, hs.Count)
+			fmt.Fprintf(w, "%s_sum{scheme=%q} %d\n", name, s.Scheme, hs.Sum)
+			fmt.Fprintf(w, "%s_count{scheme=%q} %d\n", name, s.Scheme, hs.Count)
 		}
-		hs := s.ReclaimAge
-		var cum int64
-		for b, n := range hs.Buckets {
-			cum += n
-			fmt.Fprintf(w, "smr_reclaim_age_ns_bucket{scheme=%q,le=\"%d\"} %d\n", s.Scheme, BucketUpper(b), cum)
-		}
-		fmt.Fprintf(w, "smr_reclaim_age_ns_bucket{scheme=%q,le=\"+Inf\"} %d\n", s.Scheme, hs.Count)
-		fmt.Fprintf(w, "smr_reclaim_age_ns_sum{scheme=%q} %d\n", s.Scheme, hs.Sum)
-		fmt.Fprintf(w, "smr_reclaim_age_ns_count{scheme=%q} %d\n", s.Scheme, hs.Count)
 	}
+	hist("smr_scan_latency_ns", "Reclamation scan latency.", func(s DomainSnapshot) (HistSnapshot, bool) { return s.Scan, true })
+	hist("smr_reclaim_age_ns", "Retire-to-free latency of traced refs (the live Equation-1 reading).", func(s DomainSnapshot) (HistSnapshot, bool) { return s.ReclaimAge, s.HasTrace })
 }
 
 // WriteAlertMetrics renders the health monitor's hysteresis states as
@@ -386,20 +388,5 @@ func WriteAlertMetrics(w io.Writer, status []AlertStatus) {
 			v = 1
 		}
 		fmt.Fprintf(w, "smr_alert_active{scheme=%q,invariant=%q} %d\n", st.Scheme, st.Invariant, v)
-	}
-}
-
-func writeHist(w io.Writer, name, help string, snaps []DomainSnapshot, sel func(DomainSnapshot) HistSnapshot) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	for _, s := range snaps {
-		hs := sel(s)
-		var cum int64
-		for b, n := range hs.Buckets {
-			cum += n
-			fmt.Fprintf(w, "%s_bucket{scheme=%q,le=\"%d\"} %d\n", name, s.Scheme, BucketUpper(b), cum)
-		}
-		fmt.Fprintf(w, "%s_bucket{scheme=%q,le=\"+Inf\"} %d\n", name, s.Scheme, hs.Count)
-		fmt.Fprintf(w, "%s_sum{scheme=%q} %d\n", name, s.Scheme, hs.Sum)
-		fmt.Fprintf(w, "%s_count{scheme=%q} %d\n", name, s.Scheme, hs.Count)
 	}
 }

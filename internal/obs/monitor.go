@@ -19,7 +19,11 @@ import (
 //
 //   - pending-budget: PendingBytes exceeds the domain's Equation-1 budget
 //     (installed by reclaim wiring as a function of ScanR, the sessions
-//     registered so far, slots and the arena slot footprint).
+//     registered so far, slots and the arena slot footprint) plus the
+//     largest live set a published era has been able to pin: a stalled
+//     reader of a robust scheme (HE, WFE, Hyaline-1R) legitimately holds
+//     every object alive when it stalled, and only growth past that is a
+//     runaway.
 //   - era-stall: at least one session pins an era older than the stall
 //     threshold (the Figure-4 stalled-reader signature).
 //   - reclaim-age-p99: the retire→free latency p99 from the lifecycle
@@ -97,6 +101,7 @@ type invState struct {
 	threshold int64 // last threshold
 	lastDepth int64 // handoff-growth: previous tick's reading
 	seenDepth bool  // handoff-growth: lastDepth valid
+	pinnable  int64 // pending-budget: running max of the unretired live bytes
 }
 
 // Monitor evaluates health invariants over a set of domains. Build with
@@ -199,12 +204,27 @@ type reading struct {
 func (m *Monitor) eval(s DomainSnapshot) []Alert {
 	var rs []reading
 	if s.BudgetBytes > 0 {
+		threshold := s.BudgetBytes
+		if len(s.Classes) > 0 {
+			// Equation 1 lets a published era pin every object alive at that
+			// era, so the threshold grows by the largest unretired live set
+			// seen: arena live bytes minus the pending bytes within them.
+			live := -s.PendingBytes
+			for _, c := range s.Classes {
+				live += c.Live * c.Footprint
+			}
+			m.mu.Lock()
+			st := m.state(s.Scheme + "/pending-budget")
+			st.pinnable = max(st.pinnable, live)
+			threshold += st.pinnable
+			m.mu.Unlock()
+		}
 		rs = append(rs, reading{
 			invariant: "pending-budget",
-			breach:    s.PendingBytes > s.BudgetBytes,
+			breach:    s.PendingBytes > threshold,
 			value:     s.PendingBytes,
-			threshold: s.BudgetBytes,
-			detail:    "pending bytes exceed the Equation-1 reclamation budget",
+			threshold: threshold,
+			detail:    "pending bytes exceed the Equation-1 budget plus the live set an era can pin",
 		})
 	}
 	if s.HasEras {

@@ -180,7 +180,7 @@ func TestHubCloseShutsDownCleanly(t *testing.T) {
 func TestDroppedEventsSurface(t *testing.T) {
 	d := NewDomain("droppy", Config{Sessions: 1, RingEvents: 8})
 	for i := 0; i < 100; i++ {
-		d.Ring(0).Record(EvRetire, 0, uint64(i))
+		d.Ring(0).Record(EvFree, 0, uint64(i))
 	}
 	s := d.Snapshot()
 	if s.Dropped != 92 {

@@ -3,7 +3,7 @@
 // aggregate reclaim.Stats into the time-resolved signals the paper's
 // behavioural claims are actually about — pending-reclamation curves under a
 // stalled reader (Figure 4 / Appendix A), era lag per session, and the
-// latency tails of the protect, retire and scan paths.
+// bound Equation 1 puts on what a stalled reader can pin.
 //
 // The enable/disable discipline mirrors internal/schedtest: an unobserved
 // reclaim.Handle holds a nil probe and pays one untaken branch per hook;
@@ -13,12 +13,12 @@
 // domain adds no shared-cache-line traffic to the reclamation hot paths:
 //
 //   - Flight recorder (ring.go): per-session seqlock-entry rings of
-//     reclamation events (retire, scan start/end, free, era advance, session
+//     reclamation events (scan start/end, free, session
 //     acquire/release/register/unregister), merged and time-ordered only at
 //     snapshot time.
-//   - Latency histograms (hist.go): HDR-style power-of-two log buckets for
-//     the protect, retire and scan paths, striped by session id exactly like
-//     atomicx.StripedCounter and folded on demand.
+//   - Scan-latency histogram (hist.go): HDR-style power-of-two log buckets,
+//     striped by session id exactly like atomicx.StripedCounter and folded
+//     on demand.
 //   - Robustness gauges (this file): pending nodes and bytes, per-session
 //     era lag against the scheme's global clock, and a stalled-session
 //     detector flagging sessions that pin an era older than a configurable
@@ -27,17 +27,17 @@
 //     over HTTP (with /debug/pprof mounted), plus a periodic sampler that
 //     appends JSON-lines time series for offline plotting.
 //
-// Hot-path recordings are sampled: each session keeps a private tick counter
-// and records one in every 2^SampleShift protect/retire brackets, so the
-// enabled overhead stays a small fraction of the ~50ns retire path while the
-// histograms still converge on the latency distribution. Scan events and
-// batch frees are recorded unconditionally — scans are already amortized to
+// Nothing is recorded per protect or per retire: reading the clock costs
+// more than HE's whole protect, so a timed bracket there would measure the
+// clock. The hot paths feed only the counts the gauges fold (and, when
+// tracing, the hash-sampled lifecycle spans of trace.go). Scans and batch
+// frees are recorded on every occurrence — scans are already amortized to
 // one per ScanR·issued sessions·slots retires.
 //
-// The package depends only on the standard library, so reclaim (and through
-// it every scheme) can import it without cycles; striping mirrors the
-// power-of-two masking of internal/atomicx.StripedCounter without importing
-// it.
+// The package depends only on the standard library and internal/mem (whose
+// ClassStat the arena gauges export), so reclaim (and through it every
+// scheme) can import it without cycles; striping mirrors the power-of-two
+// masking of internal/atomicx.StripedCounter without importing it.
 package obs
 
 import (
@@ -45,6 +45,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/mem"
 )
 
 // epoch anchors every timestamp this package produces; Now is monotonic
@@ -56,21 +58,15 @@ func Now() int64 { return int64(time.Since(epoch)) }
 
 // Config sizes a Domain's recording structures. Zero values take defaults.
 type Config struct {
-	// Sessions is the striping hint: rings and histogram stripes are sized
-	// to the next power of two and indexed by session id & mask, exactly
-	// like atomicx.StripedCounter — ids past the hint share stripes, which
-	// costs a shared cache line, never correctness. Default 64 (matching
-	// reclaim.Config.MaxThreads' default).
+	// Sessions is the striping hint: rings and scan-histogram stripes are
+	// sized to the next power of two and indexed by session id & mask,
+	// exactly like atomicx.StripedCounter — ids past the hint share stripes,
+	// which costs a shared cache line, never correctness. Default 64
+	// (matching reclaim.Config.MaxThreads' default).
 	Sessions int
 	// RingEvents is the flight-recorder capacity per session ring (rounded
 	// up to a power of two). Older events are overwritten. Default 256.
 	RingEvents int
-	// SampleShift gates the hot-path recordings: one protect/retire bracket
-	// in every 2^SampleShift is timed and recorded. 0 means the default of
-	// 6 (1 in 64); use SampleAll for exhaustive recording in tests.
-	SampleShift uint
-	// SampleAll disables sampling: every bracket is recorded. Test use.
-	SampleAll bool
 	// StallEras is the era-lag threshold of the stalled-session detector: a
 	// session whose published era trails the global clock by at least this
 	// many eras is counted in the Stalled gauge. Default 1024.
@@ -87,12 +83,6 @@ func (c Config) defaulted() Config {
 	}
 	if c.RingEvents <= 0 {
 		c.RingEvents = 256
-	}
-	if c.SampleShift == 0 && !c.SampleAll {
-		c.SampleShift = 6
-	}
-	if c.SampleAll {
-		c.SampleShift = 0
 	}
 	if c.StallEras == 0 {
 		c.StallEras = 1024
@@ -119,21 +109,6 @@ type Stats struct {
 	PendingBytes int64 `json:"-"`
 }
 
-// ArenaClass mirrors mem.ClassStat without importing mem — one size class's
-// occupancy and magazine-traffic gauges, exported as smr_arena_class_*.
-type ArenaClass struct {
-	Class     int   `json:"class"`
-	Size      int   `json:"size"`
-	Footprint int64 `json:"footprint"`
-	Allocs    int64 `json:"allocs"`
-	Frees     int64 `json:"frees"`
-	Live      int64 `json:"live"`
-	Slabs     int64 `json:"slabs"`
-	Capacity  int64 `json:"capacity"`
-	Spills    int64 `json:"spills"`
-	Refills   int64 `json:"refills"`
-}
-
 // LabeledValue is one labelled sample of a scheme-deep metric (e.g. the
 // handoff depth of one session).
 type LabeledValue struct {
@@ -142,8 +117,8 @@ type LabeledValue struct {
 }
 
 // SchemeMetric is one scheme-deep gauge or counter a domain exports beyond
-// the generic reclamation set: Hyaline handoff-stack depths and batch
-// ages, WFE helping counters. Name is the full Prometheus series name
+// the generic reclamation set: Hyaline handoff-stack depths, WFE helping
+// counters. Name is the full Prometheus series name
 // (smr_*); Kind is "counter" or "gauge". A metric carries either a single
 // Value or per-Label Values.
 type SchemeMetric struct {
@@ -167,9 +142,7 @@ type Domain struct {
 	rings    []Ring
 	ringMask int
 
-	protect *Histogram
-	retire  *Histogram
-	scan    *Histogram
+	scan *Histogram
 
 	// Per-ref lifecycle tracer; nil unless cfg.Trace.Enabled.
 	tracer *Tracer
@@ -178,7 +151,7 @@ type Domain struct {
 	stats    func() Stats
 	clock    func() uint64
 	sessions func(yield func(session int, era uint64))
-	classes  func() []ArenaClass
+	classes  func() []mem.ClassStat
 	objBytes uint64
 	budget   atomic.Int64
 
@@ -203,8 +176,6 @@ func NewDomain(name string, cfg Config) *Domain {
 		cfg:      cfg,
 		rings:    make([]Ring, n),
 		ringMask: n - 1,
-		protect:  NewHistogram(cfg.Sessions),
-		retire:   NewHistogram(cfg.Sessions),
 		scan:     NewHistogram(cfg.Sessions),
 	}
 	for i := range d.rings {
@@ -219,23 +190,13 @@ func NewDomain(name string, cfg Config) *Domain {
 // Name returns the scheme label.
 func (d *Domain) Name() string { return d.name }
 
-// SampleMask returns the tick mask the hot-path sampling gate uses: a
-// bracket is recorded when tick&mask == 0.
-func (d *Domain) SampleMask() uint64 { return 1<<d.cfg.SampleShift - 1 }
-
 // Ring returns the flight-recorder ring session ids mapping to stripe i
 // write to. Sessions beyond the striping hint share rings; entries are
 // seqlock-protected, so sharing is safe.
 func (d *Domain) Ring(session int) *Ring { return &d.rings[session&d.ringMask] }
 
-// ProtectStripe returns the session's protect-latency histogram stripe for
-// hot-path caching (the reclaim.Handle holds the pointer).
-func (d *Domain) ProtectStripe(session int) *LatencyStripe { return d.protect.Stripe(session) }
-
-// RetireStripe returns the session's retire-latency histogram stripe.
-func (d *Domain) RetireStripe(session int) *LatencyStripe { return d.retire.Stripe(session) }
-
-// ScanStripe returns the session's scan-latency histogram stripe.
+// ScanStripe returns the session's scan-latency histogram stripe for
+// caching on the session's probe.
 func (d *Domain) ScanStripe(session int) *LatencyStripe { return d.scan.Stripe(session) }
 
 // SetStatsSource installs the reclamation-statistics closure (wiring time
@@ -257,7 +218,7 @@ func (d *Domain) SetObjectBytes(n uint64) { d.objBytes = n }
 // SetClassSource installs the per-size-class arena gauge closure (wiring
 // time only; called by reclaim.Base.EnableObs when the allocator exposes
 // ClassStats). Domains without one export no smr_arena_class_* series.
-func (d *Domain) SetClassSource(fn func() []ArenaClass) { d.classes = fn }
+func (d *Domain) SetClassSource(fn func() []mem.ClassStat) { d.classes = fn }
 
 // Tracer returns the per-ref lifecycle tracer, nil unless Config.Trace
 // enabled one. Hot paths cache the pointer and branch on nil.
@@ -294,8 +255,8 @@ type SessionEra struct {
 }
 
 // DomainSnapshot is the point-in-time, export-ready view of a Domain: the
-// folded statistics, the derived robustness gauges and the folded latency
-// histograms. It is what /metrics.json serves and the sampler appends.
+// folded statistics, the derived robustness gauges and the folded scan
+// histogram. It is what /metrics.json serves and the sampler appends.
 type DomainSnapshot struct {
 	Scheme  string `json:"scheme"`
 	TMillis int64  `json:"t_ms"`
@@ -309,13 +270,11 @@ type DomainSnapshot struct {
 	Stalled   int          `json:"stalled_sessions"`
 	Sessions  []SessionEra `json:"sessions,omitempty"`
 
-	Protect HistSnapshot `json:"protect_ns"`
-	Retire  HistSnapshot `json:"retire_ns"`
-	Scan    HistSnapshot `json:"scan_ns"`
+	Scan HistSnapshot `json:"scan_ns"`
 
 	// Per-size-class arena gauges; present only when the allocator exposes
 	// class accounting (mem arenas with WithByteClasses, plus class 0).
-	Classes []ArenaClass `json:"classes,omitempty"`
+	Classes []mem.ClassStat `json:"classes,omitempty"`
 
 	// BudgetBytes is the Equation-1 pending-bytes budget installed by the
 	// reclaim wiring; 0 when no budget was set.
@@ -356,8 +315,6 @@ func (d *Domain) Snapshot() DomainSnapshot {
 	s := DomainSnapshot{
 		Scheme:  d.name,
 		TMillis: Now() / int64(time.Millisecond),
-		Protect: d.protect.Snapshot(),
-		Retire:  d.retire.Snapshot(),
 		Scan:    d.scan.Snapshot(),
 	}
 	if d.stats != nil {

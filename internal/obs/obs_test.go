@@ -104,7 +104,7 @@ func TestRingWraparound(t *testing.T) {
 		t.Fatalf("cap = %d, want 8", r.Cap())
 	}
 	for i := 1; i <= 20; i++ {
-		r.Record(EvRetire, 3, uint64(i))
+		r.Record(EvFree, 3, uint64(i))
 	}
 	if r.Len() != 20 {
 		t.Fatalf("len = %d, want 20", r.Len())
@@ -118,7 +118,7 @@ func TestRingWraparound(t *testing.T) {
 		if e.Value != want || e.Seq != want {
 			t.Fatalf("event %d = value %d seq %d, want %d", i, e.Value, e.Seq, want)
 		}
-		if e.Session != 3 || e.Kind != EvRetire || e.KindStr != "retire" {
+		if e.Session != 3 || e.Kind != EvFree || e.KindStr != "free" {
 			t.Fatalf("event %d metadata = %+v", i, e)
 		}
 	}
@@ -144,7 +144,7 @@ func TestRingCapacityRounding(t *testing.T) {
 func TestDomainEventsMerge(t *testing.T) {
 	d := NewDomain("HE", Config{Sessions: 4, RingEvents: 16})
 	for i := 0; i < 40; i++ {
-		d.Ring(i%4).Record(EvRetire, i%4, uint64(i))
+		d.Ring(i%4).Record(EvFree, i%4, uint64(i))
 	}
 	ev := d.Events(0)
 	if len(ev) != 40 {
@@ -341,7 +341,7 @@ func TestSamplerJSONL(t *testing.T) {
 }
 
 // TestRecorderSamplerChurn races writers against snapshot readers: four
-// goroutines hammer the ring and histograms of shared stripes while the
+// goroutines hammer the ring and scan histogram of shared stripes while the
 // sampler and event merger read continuously. Run under -race this is the
 // seqlock's regression test; without it, it still checks no event is ever
 // invented (values outside the written range).
@@ -362,8 +362,8 @@ func TestRecorderSamplerChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				d.Ring(w).Record(EvRetire, w, uint64(i))
-				d.ProtectStripe(w).Record(int64(i % 1000))
+				d.Ring(w).Record(EvFree, w, uint64(i))
+				d.ScanStripe(w).Record(int64(i % 1000))
 			}
 		}(w)
 	}
@@ -377,7 +377,7 @@ func TestRecorderSamplerChurn(t *testing.T) {
 			default:
 			}
 			for _, e := range d.Events(0) {
-				if e.Kind != EvRetire || e.Value >= perWriter || e.Session >= writers {
+				if e.Kind != EvFree || e.Value >= perWriter || e.Session >= writers {
 					panic(fmt.Sprintf("invented event: %+v", e))
 				}
 			}
@@ -391,8 +391,8 @@ func TestRecorderSamplerChurn(t *testing.T) {
 	smp.Stop()
 
 	s := d.Snapshot()
-	if s.Protect.Count != writers*perWriter {
-		t.Fatalf("histogram count = %d, want %d", s.Protect.Count, writers*perWriter)
+	if s.Scan.Count != writers*perWriter {
+		t.Fatalf("histogram count = %d, want %d", s.Scan.Count, writers*perWriter)
 	}
 	if got := d.Ring(0).Len() + d.Ring(1).Len(); got != writers*perWriter {
 		t.Fatalf("recorded events = %d, want %d", got, writers*perWriter)

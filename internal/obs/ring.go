@@ -7,9 +7,6 @@ type Kind uint32
 
 const (
 	EvNone Kind = iota
-	// EvRetire: a node entered the session's retired list. Value = pending
-	// length of that session's retired list after the push.
-	EvRetire
 	// EvScanStart: a reclamation scan began. Value = candidate count.
 	EvScanStart
 	// EvScanEnd: the scan finished. Value = nodes freed by the scan.
@@ -17,9 +14,6 @@ const (
 	// EvFree: nodes were returned to the allocator outside a scan (inline
 	// frees in URCU/RC, drain on unregister). Value = nodes freed.
 	EvFree
-	// EvEra: the session advanced the global era/epoch clock. Value = the
-	// new clock reading.
-	EvEra
 	// EvAcquire: a session handle was served from the pool. Value = slot id.
 	EvAcquire
 	// EvRelease: a session handle was returned to the pool. Value = slot id.
@@ -33,11 +27,9 @@ const (
 
 var kindNames = [...]string{
 	EvNone:       "none",
-	EvRetire:     "retire",
 	EvScanStart:  "scan_start",
 	EvScanEnd:    "scan_end",
 	EvFree:       "free",
-	EvEra:        "era",
 	EvAcquire:    "acquire",
 	EvRelease:    "release",
 	EvRegister:   "register",

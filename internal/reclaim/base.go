@@ -213,7 +213,7 @@ func Observe(d Domain, hub *obs.Hub, name string, oc obs.Config) {
 // EnableObs attaches an observability domain: statistics, era-lag gauges
 // and per-object byte accounting flow out through d, and every session
 // registered from now on carries a probe holding d's flight-recorder ring,
-// latency stripes and tracer. Call at construction time, before
+// scan-latency stripe and tracer. Call at construction time, before
 // the first Register/Acquire — handles made earlier stay uninstrumented.
 // The method is promoted through embedding, so any scheme satisfies
 // interface{ EnableObs(*obs.Domain) }.
@@ -240,25 +240,7 @@ func (b *Base) EnableObs(d *obs.Domain) {
 		d.SetObjectBytes(uint64(sb.SlotBytes()))
 	}
 	if cs, ok := b.Alloc.(interface{ ClassStats() []mem.ClassStat }); ok {
-		d.SetClassSource(func() []obs.ArenaClass {
-			stats := cs.ClassStats()
-			out := make([]obs.ArenaClass, len(stats))
-			for i, c := range stats {
-				out[i] = obs.ArenaClass{
-					Class:     c.Class,
-					Size:      c.Size,
-					Footprint: c.Footprint,
-					Allocs:    c.Allocs,
-					Frees:     c.Frees,
-					Live:      c.Live,
-					Slabs:     c.Slabs,
-					Capacity:  c.Capacity,
-					Spills:    c.Spills,
-					Refills:   c.Refills,
-				}
-			}
-			return out
-		})
+		d.SetClassSource(cs.ClassStats)
 	}
 	b.fitRegistry(int(b.issued.Load()))
 	if tr := d.Tracer(); tr != nil {

@@ -184,7 +184,7 @@ type Handle struct {
 	eraClock *atomicx.PaddedUint64
 
 	// probe carries every per-session hook (Table-1 counters, flight
-	// recorder, latency histograms, lifecycle tracer); nil when the domain
+	// recorder, scan histogram, lifecycle tracer); nil when the domain
 	// has neither an Instrument nor an obs domain attached, so each hook
 	// pays one untaken branch.
 	probe *probe
@@ -221,20 +221,17 @@ func (h *Handle) EndOp() { h.dom.EndOp(h) }
 // clock calls the scheme, to publish the new era before the loop re-reads
 // *src. Every other scheme is reached by interface dispatch.
 //
-// A probe, when attached, brackets either path: one Protect in every
-// 2^SampleShift is timed into the protect-latency histogram, and a sampled
-// ref gets its lifecycle protect event.
+// A probe, when attached, counts the era loop's visit and loads and gives
+// a sampled ref its lifecycle protect event.
 func (h *Handle) Protect(index int, src *atomic.Uint64) mem.Ref {
-	clock, p := h.eraClock, h.probe
-	if clock == nil && p == nil {
-		// Dispatch returns here, before the bracket and the loop make the
-		// compiler spill the arguments.
+	clock := h.eraClock
+	if clock == nil && h.probe == nil {
+		// Dispatch returns here, before the loop makes the compiler spill
+		// the arguments, and before p is read: a p held in a register at
+		// this point is spilled on the dispatch path too.
 		return h.dom.Protect(h, index, src)
 	}
-	var t0 int64
-	if p != nil {
-		t0 = p.protectStart()
-	}
+	p := h.probe
 	var ptr mem.Ref
 	if clock != nil {
 		prevEra := h.Held[index]
@@ -247,7 +244,7 @@ func (h *Handle) Protect(index int, src *atomic.Uint64) mem.Ref {
 			era := clock.Load()
 			if era == prevEra {
 				if p == nil {
-					return ptr // unwatched: nothing to count or time
+					return ptr // unwatched: nothing to count
 				}
 				break
 			}
@@ -263,27 +260,13 @@ func (h *Handle) Protect(index int, src *atomic.Uint64) mem.Ref {
 		ptr = h.dom.Protect(h, index, src)
 	}
 	if p != nil {
-		p.protectEnd(t0, ptr)
+		p.protected(ptr)
 	}
 	return ptr
 }
 
-// Retire declares ref unlinked and due for eventual reclamation. Sampled
-// brackets time the whole scheme Retire — including any scan it triggers —
-// into the retire-latency histogram, which is what makes the amortization
-// tail (one in threshold retires pays the scan) visible.
-func (h *Handle) Retire(ref mem.Ref) {
-	if p := h.probe; p != nil && p.ret != nil {
-		p.tickRet++
-		if p.tickRet&p.mask == 0 {
-			t0 := obs.Now()
-			h.dom.Retire(h, ref)
-			p.ret.Record(obs.Now() - t0)
-			return
-		}
-	}
-	h.dom.Retire(h, ref)
-}
+// Retire declares ref unlinked and due for eventual reclamation.
+func (h *Handle) Retire(ref mem.Ref) { h.dom.Retire(h, ref) }
 
 // Release parks the live session in the domain pool for Acquire to reuse.
 func (h *Handle) Release() { h.dom.Release(h) }
@@ -295,9 +278,8 @@ func (h *Handle) Unregister() { h.dom.Unregister(h) }
 
 // PushRetired appends ref to the session's retired list and bumps its
 // retire stripe. The high-water fold happens at scan/stats time, keeping
-// this hot path free of shared cache lines. A probe records the sampled
-// EvRetire event (carrying the retired-list depth) and the retire span
-// event here, so they ride every retire path.
+// this hot path free of shared cache lines. A tracing probe lands the
+// retire span event here, so it rides every retire path.
 func (h *Handle) PushRetired(ref mem.Ref) {
 	schedtest.Point(schedtest.PointRetire)
 	rl := &h.slot.rl.retiredListState
@@ -308,15 +290,13 @@ func (h *Handle) PushRetired(ref mem.Ref) {
 		h.retBytesStripe.Add(h.base.refBytes(ref))
 	}
 	if p := h.probe; p != nil {
-		p.retired(h.base, ref, len(rl.refs))
+		p.retired(h.base, ref)
 	}
 }
 
 // NoteRetired updates retirement accounting without touching any retired
 // list — for schemes (reference counting) that reclaim inline. It takes the
 // retired ref so the byte accounting stays class-aware even without a list.
-// The sampled EvRetire event carries depth 0: inline schemes keep no
-// retired list.
 func (h *Handle) NoteRetired(ref mem.Ref) {
 	h.retStripe.Add(1)
 	if h.retBytesStripe != nil {
@@ -324,7 +304,7 @@ func (h *Handle) NoteRetired(ref mem.Ref) {
 	}
 	h.base.observePeak()
 	if p := h.probe; p != nil {
-		p.retired(h.base, ref, 0)
+		p.retired(h.base, ref)
 	}
 }
 
@@ -448,16 +428,6 @@ func (h *Handle) TraceHandoff(ref mem.Ref, value uint64) {
 	}
 }
 
-// ObsNow returns obs.Now() when an obs domain watches this session and 0
-// otherwise: the timestamp for obs-only gauges (Hyaline's batch age), so an
-// unwatched session never reads the clock.
-func (h *Handle) ObsNow() int64 {
-	if p := h.probe; p != nil && p.ring != nil {
-		return obs.Now()
-	}
-	return 0
-}
-
 // NoteScan records one reclamation pass over a retired list, restarts the
 // ScanDue count and folds the striped counters into the pending high-water
 // mark. Scans sample the peak immediately after the pushes that triggered
@@ -465,7 +435,7 @@ func (h *Handle) ObsNow() int64 {
 // implementation had. With
 // observability attached it also opens the scan bracket: timestamp and a
 // zeroed free count for NoteScanEnd, plus an EvScanStart event carrying
-// the candidate count. Scans are amortized-rare, so these are unsampled.
+// the candidate count. Scans are amortized-rare, so every one is recorded.
 func (h *Handle) NoteScan() {
 	h.unscanned = 0
 	h.scanStripe.Add(1)
@@ -518,21 +488,6 @@ func (h *Handle) AdoptOrphans() {
 }
 
 // ---- probe hooks (one untaken branch each when the session has no probe) -
-
-// ObsEra records an EvEra flight-recorder event when this session advances
-// the scheme's global era/epoch/version clock. HE and IBR advance the clock
-// on every retire by default, so the event is sampled on its own tick (the
-// recorded value is the clock reading itself, so gaps between samples lose
-// nothing — the progression is reconstructible); when obs is off this is
-// one untaken branch.
-func (h *Handle) ObsEra(clock uint64) {
-	if p := h.probe; p != nil && p.ring != nil {
-		p.tickEra++
-		if p.tickEra&p.mask == 0 {
-			p.ring.Record(obs.EvEra, p.id, clock)
-		}
-	}
-}
 
 // InsVisit records one Protect call (one node visited) by this session.
 func (h *Handle) InsVisit() { h.probe.insVisit() }

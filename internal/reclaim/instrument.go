@@ -83,27 +83,25 @@ func (in *Instrument) Reset() {
 
 // probe is one session's attachment to everything that watches it: the
 // Table-1 counter stripes of Config.Instrument, the obs domain's flight
-// recorder, latency stripes and sampling ticks, and the lifecycle tracer.
-// makeHandle builds it only when an Instrument or an obs domain is
-// attached, so every per-session hook on an unwatched handle is one
-// untaken nil test of Handle.probe. Inside a probe the families stay
-// independently optional: the counters are nil without an Instrument,
-// ring (and every other obs field) is nil without an obs domain, and trace
-// is nil unless that domain traces. The ticks and scan scratch are
-// owner-only plain fields, like the Handle that carries the probe.
+// recorder and scan-latency stripe, and the lifecycle tracer. makeHandle
+// builds it only when an Instrument or an obs domain is attached, so every
+// per-session hook on an unwatched handle is one untaken nil test of
+// Handle.probe. Inside a probe the families stay independently optional:
+// the counters are nil without an Instrument, ring and scan are nil without
+// an obs domain, and trace is nil unless that domain traces. The scan
+// scratch is owner-only plain fields, like the Handle that carries the
+// probe.
 type probe struct {
 	id int
 
 	loads, stores, rmws, visits *atomicx.PaddedInt64
 
-	ring            *obs.Ring
-	prot, ret, scan *obs.LatencyStripe
-	mask            uint64 // sample when tick&mask == 0
-	trace           *obs.Tracer
+	ring  *obs.Ring
+	scan  *obs.LatencyStripe
+	trace *obs.Tracer
 
-	tickProt, tickRet, tickPush, tickEra uint64
-	scanT0                               int64 // NoteScan timestamp
-	scanFreed                            int64 // this session's frees since NoteScan
+	scanT0    int64 // NoteScan timestamp
+	scanFreed int64 // this session's frees since NoteScan
 }
 
 // newProbe returns session id's probe, or nil when neither ins nor d is
@@ -121,16 +119,13 @@ func newProbe(id int, ins *Instrument, d *obs.Domain) *probe {
 	}
 	if d != nil {
 		p.ring = d.Ring(id)
-		p.prot = d.ProtectStripe(id)
-		p.ret = d.RetireStripe(id)
 		p.scan = d.ScanStripe(id)
-		p.mask = d.SampleMask()
 		p.trace = d.Tracer()
 	}
 	return p
 }
 
-// event records an unsampled lifecycle event (register, acquire, release,
+// event records a session lifecycle event (register, acquire, release,
 // unregister). Nil-safe: the session-lifecycle paths call it on h.probe
 // directly.
 func (p *probe) event(k obs.Kind) {
@@ -153,26 +148,8 @@ func (p *probe) insLoads(n int64) {
 	}
 }
 
-// protectStart opens Handle.Protect's latency bracket: it returns the start
-// time when this call is the sampled one in 2^SampleShift, and 0 otherwise
-// (obs.Now is positive once the process runs, so 0 means unsampled).
-func (p *probe) protectStart() int64 {
-	if p.prot != nil {
-		p.tickProt++
-		if p.tickProt&p.mask == 0 {
-			return obs.Now()
-		}
-	}
-	return 0
-}
-
-// protectEnd closes the bracket protectStart opened, recording the elapsed
-// time when it was sampled, and lands a protect event on a sampled ref's
-// lifecycle span.
-func (p *probe) protectEnd(t0 int64, ref mem.Ref) {
-	if t0 != 0 {
-		p.prot.Record(obs.Now() - t0)
-	}
+// protected lands a protect event on a sampled ref's lifecycle span.
+func (p *probe) protected(ref mem.Ref) {
 	if tr := p.trace; tr != nil && !ref.IsNil() {
 		if r := uint64(ref.Unmarked()); tr.Sampled(r) {
 			tr.Event(r, obs.SpanProtect, p.id, 0)
@@ -180,16 +157,8 @@ func (p *probe) protectEnd(t0 int64, ref mem.Ref) {
 	}
 }
 
-// retired records one retirement: a sampled EvRetire event carrying the
-// retired-list depth (sampled on its own tick, since schemes reach the push
-// through d.Retire as well as h.Retire) and the ref's retire span event.
-func (p *probe) retired(b *Base, ref mem.Ref, depth int) {
-	if p.ring != nil {
-		p.tickPush++
-		if p.tickPush&p.mask == 0 {
-			p.ring.Record(obs.EvRetire, p.id, uint64(depth))
-		}
-	}
+// retired lands the retire event on a sampled ref's lifecycle span.
+func (p *probe) retired(b *Base, ref mem.Ref) {
 	if tr := p.trace; tr != nil {
 		if r := uint64(ref.Unmarked()); tr.Sampled(r) {
 			tr.Retire(r, b.Alloc.Header(ref).RetireEra, p.id)

@@ -11,9 +11,10 @@ import (
 
 // obsModes toggles instrumentation for the overhead benchmarks: "off" is the
 // nil-gated default every non-observed run takes (one untaken branch per
-// wrapped call), "on" attaches a full obs domain at the default 1-in-64
-// sampling rate, and "trace" additionally enables per-ref lifecycle
-// tracing at its default 1-in-1024 allocation sampling.
+// wrapped call), "on" attaches a full obs domain (flight recorder, scan
+// histogram, gauges; nothing is recorded per protect or per retire), and
+// "trace" additionally enables per-ref lifecycle tracing at its default
+// 1-in-1024 allocation sampling.
 func obsModes() []struct {
 	name string
 	on   bool

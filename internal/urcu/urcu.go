@@ -136,9 +136,6 @@ func (d *Domain) Retire(h *reclaim.Handle, ref mem.Ref) {
 	h.Words[0].Store(unassigned)
 	h.PushRetired(ref)
 	d.Synchronize()
-	// Synchronize carries no session (tests call it directly), so the era
-	// advance it performed is attributed to the retiring session here.
-	h.ObsEra(d.updaterVersion.Load())
 	// After the grace period the object is unreachable by construction.
 	h.NoteScan()
 	rlist := h.Retired()

@@ -524,7 +524,7 @@ func (d *Domain) Retire(h *reclaim.Handle, ref mem.Ref) {
 		// Benign race as in HE: two threads may both advance, which only
 		// makes eras pass faster. Helping stays bounded: each helps before
 		// its own Add.
-		h.ObsEra(d.eraClock.Add(1))
+		d.eraClock.Add(1)
 	}
 	if h.ScanDue() {
 		d.scan(h)

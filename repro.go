@@ -6,84 +6,20 @@ import (
 	"repro/internal/hashmap"
 	"repro/internal/hp"
 	"repro/internal/list"
-	"repro/internal/mem"
 	"repro/internal/queue"
-	"repro/internal/reclaim"
 	"repro/internal/skiplist"
 	"repro/internal/stack"
 	"repro/smr"
 )
 
 // This file is the structure-level face of the library. The reclamation API
-// itself lives in the smr package — Domain[T], Guard, Atomic[T], and the
-// scheme registry whose smr.X.Factory() builds every scheme — and the names
-// here are aliases into smr plus constructors for the ported data
-// structures and the two option-taking schemes (Hazard Eras, Hazard
-// Pointers), so `go doc repro` is the structure reference and
-// `go doc repro/smr` the reclamation reference. The implementation stays
-// sealed in internal/ packages.
-
-// ---- reclamation API (the smr package) -----------------------------------
-
-// Ref is a packed reference into an Arena: mark bit, size class, slot
-// generation, slot index. See smr.Ref.
-type Ref = smr.Ref
-
-// NilRef is the null Ref.
-const NilRef = smr.NilRef
-
-// Arena is the simulated manual-memory slab allocator all schemes reclaim
-// into.
-type Arena[T any] = smr.Arena[T]
-
-// ArenaOption configures NewArena.
-type ArenaOption[T any] = smr.ArenaOption[T]
-
-// NewArena constructs an arena for nodes of type T.
-func NewArena[T any](opts ...ArenaOption[T]) *Arena[T] { return mem.NewArena(opts...) }
-
-// Checked enables generation-validated dereference (use-after-free
-// detection) on an arena.
-func Checked[T any](on bool) ArenaOption[T] { return smr.Checked[T](on) }
-
-// WithPoison installs a payload poisoner run on every Free.
-func WithPoison[T any](poison func(*T)) ArenaOption[T] { return smr.WithPoison(poison) }
-
-// Domain is the uniform scheme-level safe-memory-reclamation interface
-// every scheme implements (smr.Backend). Typed user code should prefer
-// smr.Domain[T], which wraps one of these together with its arena.
-type Domain = smr.Backend
-
-// Guard is a registered reclamation session: where the paper's C++ API
-// threads a tid through every call, this library hands each participating
-// goroutine a Guard (from a structure's Register/Acquire, or
-// smr.Domain.Register) and every structure operation goes through it.
-// Registration never fails — the registry grows past its initial capacity
-// on demand. See smr.Guard.
-type Guard = smr.Guard
-
-// Handle is the internal session a Guard wraps (Guard.Handle). Structures
-// in this module speak Guard; Handle remains for code driving the internal
-// reclaim API directly.
-type Handle = reclaim.Handle
-
-// Allocator is the arena capability a Domain needs (every *Arena[T]
-// satisfies it).
-type Allocator = smr.Allocator
-
-// Config carries MaxThreads, protection-slot count and optional
-// instrumentation, mirroring the paper's HazardEras(maxHEs, maxThreads).
-type Config = smr.Config
-
-// Stats is a reclamation-accounting snapshot (PeakPending is the paper's
-// Equation-1 quantity).
-type Stats = smr.Stats
-
-// Instrument counts reader-side atomic operations (Table 1 reproduction).
-type Instrument = smr.Instrument
-
-// NewInstrument allocates instrumentation counters for maxThreads ids.
-func NewInstrument(maxThreads int) *Instrument { return smr.NewInstrument(maxThreads) }
+// itself lives in the smr package — Domain[T], Guard, Atomic[T], the
+// arena, Config, Stats, and the scheme registry whose smr.X.Factory()
+// builds every scheme. The names here are the constructors for the ported
+// data structures and for the two option-taking schemes (Hazard Eras,
+// Hazard Pointers), which smr does not expose, so `go doc repro` is the
+// structure reference and `go doc repro/smr` the reclamation reference. The
+// implementation stays sealed in internal/ packages.
 
 // ---- the schemes --------------------------------------------------------
 
@@ -94,7 +30,7 @@ type HazardEras = core.Eras
 type HazardErasOption = core.Option
 
 // NewHazardEras constructs a Hazard Eras domain over alloc.
-func NewHazardEras(alloc Allocator, cfg Config, opts ...HazardErasOption) *HazardEras {
+func NewHazardEras(alloc smr.Allocator, cfg smr.Config, opts ...HazardErasOption) *HazardEras {
 	return core.New(alloc, cfg, opts...)
 }
 
@@ -109,42 +45,41 @@ func WithMinMax(on bool) HazardErasOption { return core.WithMinMax(on) }
 type HazardPointers = hp.Pointers
 
 // NewHazardPointers constructs a Hazard Pointers domain over alloc.
-func NewHazardPointers(alloc Allocator, cfg Config, opts ...hp.Option) *HazardPointers {
+func NewHazardPointers(alloc smr.Allocator, cfg smr.Config, opts ...hp.Option) *HazardPointers {
 	return hp.New(alloc, cfg, opts...)
 }
 
 // ---- data structures ----------------------------------------------------
 
-// DomainFactory builds a Domain over a structure's arena (smr.Factory).
-// Pass one of the smr.Scheme factories —
+// Every structure constructor takes an smr.Factory: one of the smr.Scheme
+// factories —
 //
 //	repro.NewList(smr.HE.Factory())
 //
 // — or a closure over a parameterized constructor:
 //
-//	func(a repro.Allocator, c repro.Config) repro.Domain {
+//	func(a smr.Allocator, c smr.Config) smr.Backend {
 //		return repro.NewHazardEras(a, c, repro.WithMinMax(true))
 //	}
-type DomainFactory = smr.Factory
 
 // List is the Maged-Harris lock-free linked-list set — the structure the
 // paper benchmarks.
 type List = list.List
 
 // NewList builds a list reclaimed through mk's domain.
-func NewList(mk DomainFactory, opts ...list.Option) *List { return list.New(mk, opts...) }
+func NewList(mk smr.Factory, opts ...list.Option) *List { return list.New(mk, opts...) }
 
 // Map is the Michael lock-free hash table.
 type Map = hashmap.Map
 
 // NewMap builds a hash map reclaimed through mk's domain.
-func NewMap(mk DomainFactory, opts ...hashmap.Option) *Map { return hashmap.New(mk, opts...) }
+func NewMap(mk smr.Factory, opts ...hashmap.Option) *Map { return hashmap.New(mk, opts...) }
 
 // Queue is the Michael-Scott lock-free FIFO.
 type Queue = queue.Queue
 
 // NewQueue builds a queue reclaimed through mk's domain.
-func NewQueue(mk DomainFactory, opts ...queue.Option) *Queue {
+func NewQueue(mk smr.Factory, opts ...queue.Option) *Queue {
 	return queue.New(mk, opts...)
 }
 
@@ -152,7 +87,7 @@ func NewQueue(mk DomainFactory, opts ...queue.Option) *Queue {
 type Stack = stack.Stack
 
 // NewStack builds a stack reclaimed through mk's domain.
-func NewStack(mk DomainFactory, opts ...stack.Option) *Stack {
+func NewStack(mk smr.Factory, opts ...stack.Option) *Stack {
 	return stack.New(mk, opts...)
 }
 
@@ -161,7 +96,7 @@ func NewStack(mk DomainFactory, opts ...stack.Option) *Stack {
 type SkipList = skiplist.SkipList
 
 // NewSkipList builds a skip list reclaimed through mk's domain.
-func NewSkipList(mk DomainFactory, opts ...skiplist.Option) *SkipList {
+func NewSkipList(mk smr.Factory, opts ...skiplist.Option) *SkipList {
 	return skiplist.New(mk, opts...)
 }
 
@@ -170,6 +105,6 @@ func NewSkipList(mk DomainFactory, opts ...skiplist.Option) *SkipList {
 type Tree = bst.Tree
 
 // NewTree builds a tree reclaimed through mk's domain.
-func NewTree(mk DomainFactory, opts ...bst.Option) *Tree {
+func NewTree(mk smr.Factory, opts ...bst.Option) *Tree {
 	return bst.New(mk, opts...)
 }

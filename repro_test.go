@@ -18,7 +18,7 @@ func newCell(v uint64) *atomic.Uint64 {
 // These tests exercise the public facade exactly as a downstream user
 // would: no internal/ imports.
 
-func heFactory(a repro.Allocator, c repro.Config) repro.Domain {
+func heFactory(a smr.Allocator, c smr.Config) smr.Backend {
 	return repro.NewHazardEras(a, c)
 }
 
@@ -43,14 +43,14 @@ func TestPublicListRoundTrip(t *testing.T) {
 }
 
 func TestPublicSchemesInterchangeable(t *testing.T) {
-	factories := map[string]repro.DomainFactory{
-		"HE-k8": func(a repro.Allocator, c repro.Config) repro.Domain {
+	factories := map[string]smr.Factory{
+		"HE-k8": func(a smr.Allocator, c smr.Config) smr.Backend {
 			return repro.NewHazardEras(a, c, repro.WithAdvanceEvery(8))
 		},
-		"HE-minmax-facade": func(a repro.Allocator, c repro.Config) repro.Domain {
+		"HE-minmax-facade": func(a smr.Allocator, c smr.Config) smr.Backend {
 			return repro.NewHazardEras(a, c, repro.WithMinMax(true))
 		},
-		"HP-facade": func(a repro.Allocator, c repro.Config) repro.Domain {
+		"HP-facade": func(a smr.Allocator, c smr.Config) smr.Backend {
 			return repro.NewHazardPointers(a, c)
 		},
 	}
@@ -104,16 +104,16 @@ func TestPublicQueueStackTree(t *testing.T) {
 
 func TestPublicArenaDirectUse(t *testing.T) {
 	type node struct{ v uint64 }
-	arena := repro.NewArena[node](
-		repro.Checked[node](true),
-		repro.WithPoison[node](func(n *node) { n.v = 0xDEAD }),
+	arena := smr.NewArena[node](
+		smr.Checked[node](true),
+		smr.WithPoison[node](func(n *node) { n.v = 0xDEAD }),
 	)
 	ref, n := arena.Alloc()
 	n.v = 1
-	if ref == repro.NilRef {
+	if ref == smr.NilRef {
 		t.Fatal("nil ref from Alloc")
 	}
-	dom := repro.NewHazardEras(arena, repro.Config{MaxThreads: 2, Slots: 1})
+	dom := repro.NewHazardEras(arena, smr.Config{MaxThreads: 2, Slots: 1})
 	dom.OnAlloc(ref)
 	h := dom.Register()
 	dom.Retire(h, ref)
@@ -149,10 +149,10 @@ func TestPublicConcurrentSmoke(t *testing.T) {
 }
 
 func TestPublicInstrument(t *testing.T) {
-	ins := repro.NewInstrument(2)
+	ins := smr.NewInstrument(2)
 	type node struct{ v uint64 }
-	arena := repro.NewArena[node]()
-	dom := repro.NewHazardEras(arena, repro.Config{MaxThreads: 2, Slots: 1, Instrument: ins})
+	arena := smr.NewArena[node]()
+	dom := repro.NewHazardEras(arena, smr.Config{MaxThreads: 2, Slots: 1, Instrument: ins})
 	h := dom.Register()
 	ref, _ := arena.Alloc()
 	dom.OnAlloc(ref)

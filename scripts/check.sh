@@ -212,8 +212,8 @@ echo "== schedule-injection suites (linearizability + safety oracles) =="
 go test -race ./internal/schedtest/ ./internal/linz/
 go run ./cmd/hecheck -seeds 2
 go run ./cmd/hecheck -mutate skip-publish -scheme HE -seeds 8 > /dev/null
-echo "== observability (recorder/hub races, live scrape, sampler) =="
-go test -race ./internal/obs/
+echo "== observability (recorder/hub races, live scrape, hemon frame, sampler) =="
+go test -race -count=2 ./internal/obs/
 go test -race -run 'TestObs|TestStatsPool|TestStatsPending' ./internal/reclaim/
 obstmp=$(mktemp -d)
 trap 'rm -rf "$obstmp"' EXIT
@@ -256,6 +256,7 @@ for _ in $(seq 1 25); do
   sleep 0.2
 done
 [ -n "$jsonok" ] || { echo "/metrics.json empty"; exit 1; }
+go run ./cmd/hemon -addr "$addr" -once -events 5 > /dev/null
 kill "$obspid" 2>/dev/null || true
 wait "$obspid" 2>/dev/null || true
 grep -q '"scheme":"HE"' "$obstmp/pending.jsonl" || { echo "sampler JSONL empty"; exit 1; }

@@ -36,6 +36,10 @@ type Arena[T any] = mem.Arena[T]
 // ArenaOption configures the arena underlying a Domain[T].
 type ArenaOption[T any] = mem.Option[T]
 
+// NewArena constructs a standalone arena for nodes of type T, for code that
+// pairs an arena with a Backend itself (NewDomain builds its own).
+func NewArena[T any](opts ...ArenaOption[T]) *Arena[T] { return mem.NewArena(opts...) }
+
 // ArenaStats is an allocator counter snapshot.
 type ArenaStats = mem.Stats
 
