@@ -21,8 +21,8 @@
 //     mutex, reuses a warm handle (cached counter stripes, scratch
 //     buffers) and keeps the registry no larger than the borrowing
 //     high-water mark — the right call-pattern for request handlers and
-//     worker pools (~6.5x cheaper than Register/Unregister per
-//     BENCH_handles.json).
+//     worker pools (about 5x cheaper than Register/Unregister; measure
+//     with go test -run '^$' -bench BenchmarkHandleChurn ./internal/reclaim/).
 package main
 
 import (

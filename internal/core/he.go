@@ -17,7 +17,9 @@
 //
 //   - k-advance: the eraClock is advanced only every k-th Retire, trading
 //     reclamation latency (k× more pending objects) for fewer reader-side
-//     era republications.
+//     era republications. By default (k = 1) the clock advances once per
+//     scan, on the retire that triggers it; with a scan on every retire
+//     (SetScanThreshold(1)) that is every retire, as in Algorithm 3.
 //   - min/max publication: a reader using many protection indices (deep
 //     tree traversals) publishes only the minimum and maximum of its eras,
 //     making the published footprint O(1) instead of O(depth).
@@ -50,7 +52,9 @@ const noneEra = 0
 type Option func(*Eras)
 
 // WithAdvanceEvery sets k-advance (§3.4): the eraClock is advanced only on
-// every k-th call to Retire by each session. k=1 is the paper's Algorithm 3.
+// every k-th call to Retire by each session. k=1 (the default) advances it
+// on each retire that triggers a scan, which under SetScanThreshold(1) is
+// the paper's Algorithm 3.
 func WithAdvanceEvery(k int) Option {
 	return func(d *Eras) {
 		if k > 1 {
@@ -76,8 +80,8 @@ type Eras struct {
 
 	// The leading pad gives the clock a cache line of its own: PaddedUint64
 	// pads only after its value, so without it the hottest word in the
-	// domain (bumped on every retire) would share a line with the embedded
-	// Base's trailing fields.
+	// domain (loaded on every alloc, retire and moved-era protect) would
+	// share a line with the embedded Base's trailing fields.
 	_        atomicx.CacheLinePad
 	eraClock atomicx.PaddedUint64
 
@@ -256,14 +260,23 @@ func (d *Eras) publish(h *reclaim.Handle, index int, era uint64) {
 }
 
 // Retire is the paper's retire() (Algorithm 3): stamp delEra, append to the
-// calling session's retired list, advance the eraClock (every k-th call
-// under k-advance) if no other thread already advanced it, then — once the
-// session's retires since its last scan reach the trigger (ScanR·H with
-// H = issued·Slots by default, see reclaim.Config.ScanR; every retire, as
-// in the paper, under SetScanThreshold(1)) — scan the retired list freeing
-// every object whose lifetime no eras-in-use overlap. Wait-free bounded: no
-// retries, and the retired list is bounded by Equation 1 of the paper plus
-// the ScanR·H retires not yet scanned.
+// calling session's retired list and, once the session's retires since its
+// last scan reach the trigger (ScanR·H with H = issued·Slots by default,
+// see reclaim.Config.ScanR), advance the eraClock if no other thread
+// already advanced it and scan the retired list, freeing every object whose
+// lifetime no eras-in-use overlap. Under SetScanThreshold(1) every retire
+// scans, so every retire advances: exactly Algorithm 3. Under k-advance
+// (k > 1) the clock moves on every k-th retire instead, scan or not.
+//
+// Advancing once per scan rather than once per retire keeps the shared
+// clock line off most retires. Safety does not depend on the cadence: a
+// reader's validated era was current when it read the reference, so
+// birth <= era <= retire for every object it holds. The cadence decides
+// only how soon new eras stop overlapping retired lifespans: after the
+// advance right before a scan, a reader that starts publishes an era above
+// every retire era that scan tests.
+// Wait-free bounded: no retries, and the retired list is bounded by
+// Equation 1 of the paper plus the ScanR·H retires not yet scanned.
 func (d *Eras) Retire(h *reclaim.Handle, ref mem.Ref) {
 	ref = ref.Unmarked()
 	currEra := d.eraClock.Load()
@@ -271,13 +284,18 @@ func (d *Eras) Retire(h *reclaim.Handle, ref mem.Ref) {
 	h.PushRetired(ref)
 
 	h.RetireCount++
-	if h.RetireCount%d.advanceEvery == 0 && d.eraClock.Load() == currEra {
+	due := h.ScanDue()
+	advance := due
+	if d.advanceEvery > 1 {
+		advance = h.RetireCount%d.advanceEvery == 0
+	}
+	if advance && d.eraClock.Load() == currEra {
 		schedtest.Point(schedtest.PointEra)
 		// Benign race, exactly as the paper's line 51: two threads may both
 		// advance, which only makes eras pass faster.
 		d.eraClock.Add(1)
 	}
-	if h.ScanDue() {
+	if due {
 		d.scan(h)
 	}
 }

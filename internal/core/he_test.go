@@ -69,6 +69,7 @@ func TestRetireUnprotectedFreesImmediately(t *testing.T) {
 func TestRetireAdvancesClockOnlyWhenUnchanged(t *testing.T) {
 	arena := testArena()
 	d := newHE(arena, 2, 3)
+	d.SetScanThreshold(1) // Algorithm 3: scan, and so advance, on every retire
 	h := d.Register()
 	for i := 0; i < 5; i++ {
 		ref, _ := arena.Alloc()
@@ -131,6 +132,7 @@ func TestProtectRepublishesAfterEraChange(t *testing.T) {
 	arena := testArena()
 	ins := reclaim.NewInstrument(2)
 	d := New(arena, reclaim.Config{MaxThreads: 2, Slots: 3, Instrument: ins})
+	d.SetScanThreshold(1) // Algorithm 3: scan, and so advance, on every retire
 	reader := d.Register()
 	writer := d.Register()
 	ref, _ := arena.Alloc()
@@ -325,12 +327,103 @@ func TestKAdvanceDelaysClock(t *testing.T) {
 	}
 }
 
+// TestKAdvanceOneIsDefaultBehaviour checks that a k below 2 is ignored,
+// leaving k = 1: the default cadence of one advance per scan
+// (TestDefaultTriggerAdvancesOncePerScan).
 func TestKAdvanceOneIsDefaultBehaviour(t *testing.T) {
 	arena := testArena()
 	d := newHE(arena, 2, 3, WithAdvanceEvery(0)) // invalid k ignored
 	if d.advanceEvery != 1 {
 		t.Fatalf("advanceEvery = %d, want 1", d.advanceEvery)
 	}
+}
+
+// retireFresh allocates, stamps and retires one object on h.
+func retireFresh(d *Eras, arena *mem.Arena[tnode], h *reclaim.Handle) {
+	ref, _ := arena.Alloc()
+	d.OnAlloc(ref)
+	d.Retire(h, ref)
+}
+
+// headerHook is an allocator whose next Header call runs a hook first: a
+// test uses it to run another session's retire between Retire's load of
+// the clock and its advance.
+type headerHook struct {
+	*mem.Arena[tnode]
+	hook func()
+}
+
+func (a *headerHook) Header(ref mem.Ref) *mem.Header {
+	if f := a.hook; f != nil {
+		a.hook = nil
+		f()
+	}
+	return a.Arena.Header(ref)
+}
+
+// TestDefaultTriggerAdvancesOncePerScan checks the default cadence: at the
+// amortized trigger the clock advances on the retire that scans, not on
+// every retire, the paper's guard still keeps a second session from
+// advancing a clock it saw move, and k-advance keeps its own cadence even
+// when every retire scans (TestKAdvanceDelaysClock covers the default
+// trigger).
+func TestDefaultTriggerAdvancesOncePerScan(t *testing.T) {
+	t.Run("one session", func(t *testing.T) {
+		arena := testArena()
+		d := newHE(arena, 2, 3)
+		h := d.Register()
+		for i := 0; i < 20; i++ {
+			retireFresh(d, arena, h)
+		}
+		s := d.Stats()
+		if s.Scans != 6 { // one session, 3 slots: a scan every 3 retires
+			t.Fatalf("Scans = %d after 20 retires, want 6", s.Scans)
+		}
+		if d.Era()-1 != uint64(s.Scans) {
+			t.Fatalf("Era = %d after %d scans, want one advance per scan", d.Era(), s.Scans)
+		}
+	})
+	t.Run("moved clock", func(t *testing.T) {
+		arena := testArena()
+		alloc := &headerHook{Arena: arena}
+		d := New(alloc, reclaim.Config{MaxThreads: 2, Slots: 3})
+		a, b := d.Register(), d.Register()
+		// Two sessions of 3 slots scan every 6 retires: leave both one short.
+		for i := 0; i < 5; i++ {
+			retireFresh(d, arena, a)
+			retireFresh(d, arena, b)
+		}
+		if d.Era() != 1 || d.Stats().Scans != 0 {
+			t.Fatalf("Era = %d, Scans = %d before any trigger, want 1 and 0", d.Era(), d.Stats().Scans)
+		}
+		// a's sixth retire loads era 1; before its guard, b's sixth retire
+		// scans and advances to 2. a must then scan without advancing.
+		ref, _ := arena.Alloc()
+		d.OnAlloc(ref)
+		alloc.hook = func() { retireFresh(d, arena, b) }
+		d.Retire(a, ref)
+		if s := d.Stats(); s.Scans != 2 || d.Era() != 2 {
+			t.Fatalf("Era = %d, Scans = %d, want 2 and 2: a session advanced a clock it saw move", d.Era(), s.Scans)
+		}
+		if got := arena.Header(ref).RetireEra; got != 1 {
+			t.Fatalf("RetireEra = %d, want 1", got)
+		}
+	})
+	t.Run("k-advance", func(t *testing.T) {
+		arena := testArena()
+		d := newHE(arena, 2, 3, WithAdvanceEvery(4))
+		d.SetScanThreshold(1) // every retire scans; only every 4th advances
+		h := d.Register()
+		for i := 1; i <= 12; i++ {
+			retireFresh(d, arena, h)
+			if want := uint64(1 + i/4); d.Era() != want {
+				t.Fatalf("after %d retires Era = %d, want %d", i, d.Era(), want)
+			}
+		}
+		if s := d.Stats(); s.Scans != 12 {
+			t.Fatalf("Scans = %d after 12 retires, want 12", s.Scans)
+		}
+	})
 }
 
 func TestMinMaxModeProtectsRange(t *testing.T) {

@@ -217,7 +217,7 @@ func (a *Arena[T]) Alloc() (Ref, *T) {
 		// Freelist refs carry the slot's current (post-bump) generation —
 		// releaseSlot wrote them that way — so ref is already the Ref this
 		// incarnation must hand out; no generation reload needed.
-		s := a.slotAt(ref.Index())
+		s := a.slotAt(uint64(ref >> idxShift))
 		s.hdr.resetForAlloc()
 		a.reuses.Add(1)
 		a.noteAlloc()
@@ -245,7 +245,7 @@ func (a *Arena[T]) popGlobal() (Ref, bool) {
 		if head.IsNil() {
 			return NilRef, false
 		}
-		s := a.slotAt(head.Index())
+		s := a.slotAt(uint64(head >> idxShift))
 		next := s.nextFree.Load()
 		if a.freeHead.CompareAndSwap(uint64(head), next) {
 			return head, true
@@ -306,7 +306,7 @@ func (a *Arena[T]) AllocAt(shard int) (Ref, *T) {
 	// Magazine refs carry the slot's current generation (releaseSlot and
 	// popGlobal both hand out post-bump refs), so ref is returned as-is.
 	ref := sh.mag[sh.n]
-	s := a.slotAt(ref.Index())
+	s := a.slotAt(uint64(ref >> idxShift))
 	s.hdr.resetForAlloc()
 	sh.allocs.Add(1)
 	if h := a.allocHook; h != nil {
@@ -320,7 +320,7 @@ func (a *Arena[T]) AllocAt(shard int) (Ref, *T) {
 // generation bump and poisoning are identical to Free, so stale frees and
 // use-after-free detection behave the same on both paths.
 func (a *Arena[T]) FreeAt(shard int, ref Ref) {
-	if ref.Class() != 0 {
+	if ref>>classShift != 0 {
 		a.bytes.freeAt(shard, ref, true)
 		return
 	}
@@ -357,7 +357,7 @@ func (a *Arena[T]) FreeBatchAt(shard int, refs []Ref) {
 	sh := &a.shards[shard].shardState
 	released := int64(0)
 	for _, ref := range refs {
-		if ref.Class() != 0 {
+		if ref>>classShift != 0 {
 			a.bytes.freeAt(shard, ref, true)
 			continue
 		}
@@ -395,9 +395,9 @@ func (a *Arena[T]) refill(sh *shardState) bool {
 // the chain tail's link is rewritten if the single head CAS retries.
 func (a *Arena[T]) spill(sh *shardState) {
 	for i := 0; i < magazineSpill-1; i++ {
-		a.slotAt(sh.mag[i].Index()).nextFree.Store(uint64(sh.mag[i+1]))
+		a.slotAt(uint64(sh.mag[i] >> idxShift)).nextFree.Store(uint64(sh.mag[i+1]))
 	}
-	tail := a.slotAt(sh.mag[magazineSpill-1].Index())
+	tail := a.slotAt(uint64(sh.mag[magazineSpill-1] >> idxShift))
 	for {
 		head := a.freeHead.Load()
 		tail.nextFree.Store(head)
@@ -423,15 +423,18 @@ func (a *Arena[T]) observePeakLive() {
 // releaseSlot validates ref, bumps the slot's generation (invalidating
 // every outstanding Ref to the old incarnation) and poisons the payload,
 // returning the slot's next-incarnation Ref. A stale or nil ref is a
-// detected fault in checked mode and returns ok=false.
+// detected fault in checked mode and returns ok=false. Like Get, it and
+// the other write-side methods decode refs with bare shifts, not Ref's
+// methods, which instantiations outside this package call out of line.
 func (a *Arena[T]) releaseSlot(ref Ref) (Ref, bool) {
-	ref = ref.Unmarked()
-	if ref.IsNil() {
+	ref &^= MarkBit
+	index := uint64(ref >> idxShift)
+	if index == 0 {
 		a.fault("free of nil ref")
 		return NilRef, false
 	}
-	s := a.slotAt(ref.Index())
-	if a.checked && s.hdr.Gen() != ref.Gen() {
+	s := a.slotAt(index)
+	if a.checked && s.hdr.Gen() != uint32((ref&genMask)>>genShift) {
 		a.fault(fmt.Sprintf("double or stale free: %v, slot generation %d", ref, s.hdr.Gen()))
 		return NilRef, false
 	}
@@ -441,14 +444,14 @@ func (a *Arena[T]) releaseSlot(ref Ref) (Ref, bool) {
 	}
 	// MakeRef masks the generation to GenModulus, so the full-width counter
 	// value can be packed directly — no reload through Gen() needed.
-	return MakeRef(ref.Index(), g), true
+	return MakeRef(index, g), true
 }
 
 // Free returns the slot to the shared freelist. Freeing with a stale Ref
 // (double free or free of a reused slot) is a detected fault in checked
 // mode.
 func (a *Arena[T]) Free(ref Ref) {
-	if ref.Class() != 0 {
+	if ref>>classShift != 0 {
 		a.bytes.free(ref)
 		return
 	}
@@ -457,7 +460,7 @@ func (a *Arena[T]) Free(ref Ref) {
 		return
 	}
 	a.frees.Add(1)
-	s := a.slotAt(newRef.Index())
+	s := a.slotAt(uint64(newRef >> idxShift))
 	for {
 		head := a.freeHead.Load()
 		s.nextFree.Store(head)
@@ -504,11 +507,27 @@ func (a *Arena[T]) getSlow(ref Ref) *T {
 // check: reclamation schemes legitimately inspect headers of retired (and,
 // for the reference-counting baseline, even transiently freed) slots — the
 // slots are type-stable by construction.
+//
+// Like Get, a typed ref with its slab published is decoded with bare shifts
+// and one slab load: HE stamps two headers per update and reads one per
+// object in every scan. Byte-class refs and unallocated slabs take
+// headerSlow.
 func (a *Arena[T]) Header(ref Ref) *Header {
-	if ref.Class() != 0 {
+	if ref>>classShift == 0 {
+		index := uint64(ref >> idxShift)
+		if sl := a.slabs[index>>slabShift].Load(); sl != nil {
+			return &sl[index&slabMask].hdr
+		}
+	}
+	return a.headerSlow(ref)
+}
+
+// headerSlow is Header's byte-class and faulting path.
+func (a *Arena[T]) headerSlow(ref Ref) *Header {
+	if ref>>classShift != 0 {
 		return a.bytes.header(ref)
 	}
-	return &a.slotAt(ref.Unmarked().Index()).hdr
+	return &a.slotAt(uint64(ref >> idxShift)).hdr
 }
 
 // CheckAccess is the assertion-mode promotion of the generation and poison
@@ -627,7 +646,7 @@ func (a *Arena[T]) PutStringAt(shard int, s string) Ref {
 // allocated, capacity capped at the class size). In checked mode a
 // generation mismatch is a detected fault, exactly like Get.
 func (a *Arena[T]) Bytes(ref Ref) []byte {
-	if ref.Class() == 0 {
+	if ref>>classShift == 0 {
 		a.fault(fmt.Sprintf("Bytes on non-byte ref %v", ref))
 		return nil
 	}
@@ -638,7 +657,7 @@ func (a *Arena[T]) Bytes(ref Ref) []byte {
 // full class extent for byte refs, SlotBytes for typed refs. Reclamation
 // uses it for class-aware pending-bytes accounting.
 func (a *Arena[T]) RefBytes(ref Ref) uintptr {
-	if c := ref.Class(); c != 0 {
+	if c := int(ref >> classShift); c != 0 {
 		return slotHdrBytes + uintptr(ClassSize(c))
 	}
 	return a.SlotBytes()

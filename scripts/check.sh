@@ -172,19 +172,26 @@ inline_gate ./internal/reclaim '\(\*probe\)\.insVisit' '\(\*probe\)\.insLoads'
 inline_gate ./internal/list 'smr\.\(\*Atomic\[.*\]\)\.Load' 'smr\.\(\*Domain\[.*\]\)\.Deref'
 # A generic instantiation compiled outside mem does not inline mem.Ref's
 # methods, so neither the list's traversal step nor the Arena.Get it calls
-# may call one. hop_gate takes an awk regexp for a function's header line
-# in the assembly listing.
-asm=$(go build -gcflags=-S ./internal/list 2>&1)
+# may call one, and neither may the arena's alloc, free and header methods
+# a hash-map update and a scan run. hop_gate takes an awk regexp for a
+# function's header line in the assembly listing of package $pkg.
 hop_gate() {
   local body
   body=$(RE="$1" awk '$0 ~ ENVIRON["RE"] {f=1; print; next} / STEXT / {f=0} f' <<<"$asm")
-  [ -n "$body" ] || { echo "./internal/list: no assembly for $1"; exit 1; }
+  [ -n "$body" ] || { echo "$pkg: no assembly for $1"; exit 1; }
   if grep -q 'CALL.*mem\.Ref\.' <<<"$body"; then
-    echo "./internal/list: $1 calls a mem.Ref method out of line"; exit 1
+    echo "$pkg: $1 calls a mem.Ref method out of line"; exit 1
   fi
 }
+pkg=./internal/list
+asm=$(go build -gcflags=-S "$pkg" 2>&1)
 hop_gate '^repro/internal/list\.\(\*Ops\)\.find STEXT'
 hop_gate '^repro/internal/mem\.\(\*Arena\[.*\]\)\.Get STEXT'
+pkg=./internal/hashmap
+asm=$(go build -gcflags=-S "$pkg" 2>&1)
+for fn in Header AllocAt FreeAt FreeBatchAt releaseSlot spill popGlobal; do
+  hop_gate "^repro/internal/mem\\.\\(\\*Arena\\[.*\\]\\)\\.$fn STEXT"
+done
 # The write side's logical-delete CAS builds its expected word with
 # smr.Ptr.WithMark; neither structure may reach mem.Ref.WithMark for it.
 wasm=$(go build -gcflags=-S ./internal/list ./internal/hashmap 2>&1)
