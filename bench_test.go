@@ -64,7 +64,7 @@ func BenchmarkTable1_ProtectCost(b *testing.B) {
 func BenchmarkExtension_WaitFreeQueue(b *testing.B) {
 	for _, s := range []bench.Scheme{bench.Of(smr.HE), bench.Of(smr.HP)} {
 		b.Run("MS-lockfree/"+s.Name, func(b *testing.B) {
-			q := queue.New(queue.DomainFactory(s.Make), queue.WithMaxThreads(64))
+			q := queue.New(s.Make, queue.WithMaxThreads(64))
 			b.RunParallel(func(pb *testing.PB) {
 				h := q.Register()
 				defer h.Unregister()
@@ -82,7 +82,7 @@ func BenchmarkExtension_WaitFreeQueue(b *testing.B) {
 			q.Drain()
 		})
 		b.Run("KP-waitfree/"+s.Name, func(b *testing.B) {
-			q := wfqueue.New(wfqueue.DomainFactory(s.Make), wfqueue.WithMaxThreads(64))
+			q := wfqueue.New(s.Make, wfqueue.WithMaxThreads(64))
 			b.RunParallel(func(pb *testing.PB) {
 				h := q.Register()
 				defer q.Unregister(h)

@@ -468,9 +468,9 @@ type structOps struct {
 	// update runs one randomized operation and records it; set-like
 	// structures insert/remove/contains over a small key range, LIFO/FIFO
 	// structures push unique values and pop.
-	step  func(g *smr.Guard, rec *linz.Recorder, w int, rng *uint64)
-	dom   reclaim.Domain
-	drain func()
+	step     func(g *smr.Guard, rec *linz.Recorder, w int, rng *uint64)
+	register func() *smr.Guard
+	drain    func()
 }
 
 func makeStruct(name string, sch smr.Scheme) structOps {
@@ -481,23 +481,23 @@ func makeStruct(name string, sch smr.Scheme) structOps {
 			insert   func(g *smr.Guard, k, v uint64) bool
 			remove   func(g *smr.Guard, k uint64) bool
 			contains func(g *smr.Guard, k uint64) bool
-			dom      reclaim.Domain
+			register func() *smr.Guard
 			drain    func()
 		)
 		if name == "list" {
 			l := list.New(sch.Factory(), list.WithChecked(true), list.WithMaxThreads(threads))
 			insert, remove, contains = l.Insert, l.Remove, l.Contains
-			dom, drain = l.Domain(), l.Drain
+			register, drain = l.Register, l.Drain
 		} else {
 			m := hashmap.New(sch.Factory(), hashmap.WithChecked(true), hashmap.WithMaxThreads(threads), hashmap.WithBuckets(2))
 			insert, remove, contains = m.Insert, m.Remove, m.Contains
-			dom, drain = m.Domain(), m.Drain
+			register, drain = m.Register, m.Drain
 		}
 		const keyRange = 3
 		return structOps{
-			model: linz.NewSetModel(),
-			dom:   dom,
-			drain: drain,
+			model:    linz.NewSetModel(),
+			register: register,
+			drain:    drain,
 			step: func(g *smr.Guard, rec *linz.Recorder, w int, rng *uint64) {
 				key := splitmix(rng) % keyRange
 				switch splitmix(rng) % 4 {
@@ -516,9 +516,9 @@ func makeStruct(name string, sch smr.Scheme) structOps {
 	case "queue":
 		q := queue.New(sch.Factory(), queue.WithChecked(true), queue.WithMaxThreads(threads))
 		return structOps{
-			model: linz.NewQueueModel(),
-			dom:   q.Domain(),
-			drain: q.Drain,
+			model:    linz.NewQueueModel(),
+			register: q.Register,
+			drain:    q.Drain,
 			step: func(g *smr.Guard, rec *linz.Recorder, w int, rng *uint64) {
 				if splitmix(rng)%2 == 0 {
 					v := uint64(w)<<32 | splitmix(rng)&0xFFFF
@@ -535,9 +535,9 @@ func makeStruct(name string, sch smr.Scheme) structOps {
 	case "stack":
 		s := stack.New(sch.Factory(), stack.WithChecked(true), stack.WithMaxThreads(threads))
 		return structOps{
-			model: linz.NewStackModel(),
-			dom:   s.Domain(),
-			drain: s.Drain,
+			model:    linz.NewStackModel(),
+			register: s.Register,
+			drain:    s.Drain,
 			step: func(g *smr.Guard, rec *linz.Recorder, w int, rng *uint64) {
 				if splitmix(rng)%2 == 0 {
 					v := uint64(w)<<32 | splitmix(rng)&0xFFFF
@@ -568,7 +568,7 @@ func runStructSeed(sch smr.Scheme, structName string, seed uint64) []string {
 	rec := linz.NewRecorder()
 	handles := make([]*smr.Guard, workers)
 	for w := range handles {
-		handles[w] = smr.Adopt(so.dom.Register())
+		handles[w] = so.register()
 	}
 	fns := make([]func(), workers)
 	for w := 0; w < workers; w++ {

@@ -245,7 +245,7 @@ func runPhaseSchedule(s bench.Set, stop *atomic.Bool) <-chan struct{} {
 func churnSet(s bench.Set, faultsOf func() int64, threads int, dur time.Duration) (int64, int64) {
 	const keyRange = 256
 	bg, _ := s.(byteGetter)
-	setup := smr.Adopt(s.Domain().Register())
+	setup := s.Register()
 	for k := uint64(0); k < keyRange; k++ {
 		s.Insert(setup, k, k)
 	}
@@ -264,7 +264,7 @@ func churnSet(s bench.Set, faultsOf func() int64, threads int, dur time.Duration
 		go func(seed uint64) {
 			defer wg.Done()
 			defer guard(&panics, &stop)
-			h := smr.Adopt(s.Domain().Register())
+			h := s.Register()
 			defer h.Unregister()
 			rng := bench.NewSplitMix64(seed)
 			var local int64
@@ -299,7 +299,7 @@ func stressList(s bench.Scheme, threads int, dur time.Duration) (int64, int64) {
 	if byteSizer != nil {
 		opts = append(opts, list.WithByteValues(byteSizer))
 	}
-	l := list.New(list.DomainFactory(s.Make), opts...)
+	l := list.New(s.Make, opts...)
 	faults, ops := churnSet(l, func() int64 { return l.Arena().Stats().Faults }, threads, dur)
 	l.Drain()
 	return faults, ops
@@ -311,7 +311,7 @@ func stressMap(s bench.Scheme, threads int, dur time.Duration) (int64, int64) {
 	if byteSizer != nil {
 		opts = append(opts, hashmap.WithByteValues(byteSizer))
 	}
-	m := hashmap.New(list.DomainFactory(s.Make), opts...)
+	m := hashmap.New(s.Make, opts...)
 	faults, ops := churnSet(m, func() int64 { return m.Arena().Stats().Faults }, threads, dur)
 	m.Drain()
 	return faults, ops
@@ -322,47 +322,18 @@ func stressBST(s bench.Scheme, threads int, dur time.Duration) (int64, int64) {
 	if byteSizer != nil {
 		opts = append(opts, bst.WithByteValues(byteSizer))
 	}
-	t := bst.New(bst.DomainFactory(s.Make), opts...)
+	t := bst.New(s.Make, opts...)
 	faults, ops := churnSet(t, func() int64 { return t.Arena().Stats().Faults }, threads, dur)
 	t.Drain()
 	return faults, ops
 }
 
-func stressQueue(s bench.Scheme, threads int, dur time.Duration) (int64, int64) {
-	q := queue.New(queue.DomainFactory(s.Make), queue.WithChecked(true), queue.WithMaxThreads(capFor(threads)))
-	var stop atomic.Bool
-	var panics atomic.Int64
-	var ops atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(producer bool) {
-			defer wg.Done()
-			defer guard(&panics, &stop)
-			h := q.Register()
-			defer h.Unregister()
-			var local int64
-			defer func() { ops.Add(local) }()
-			for !stop.Load() {
-				if producer {
-					q.Enqueue(h, uint64(local))
-				} else {
-					q.Dequeue(h)
-				}
-				local++
-			}
-		}(w%2 == 0)
-	}
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	faults := q.Arena().Stats().Faults + panics.Load()
-	q.Drain()
-	return faults, ops.Load()
-}
-
-func stressStack(s bench.Scheme, threads int, dur time.Duration) (int64, int64) {
-	st := stack.New(stack.DomainFactory(s.Make), stack.WithChecked(true), stack.WithMaxThreads(capFor(threads)))
+// stressRoles drives threads workers, each on its own session from
+// register, running op until dur elapses; op gets the worker's index and
+// its operation count, so each structure picks its own op mix. faults
+// counts the detected faults and drain tears the structure down.
+func stressRoles[S interface{ Unregister() }](threads int, dur time.Duration,
+	register func() S, op func(s S, w int, i int64), faults func() int64, drain func()) (int64, int64) {
 	var stop atomic.Bool
 	var panics atomic.Int64
 	var ops atomic.Int64
@@ -372,16 +343,12 @@ func stressStack(s bench.Scheme, threads int, dur time.Duration) (int64, int64) 
 		go func(w int) {
 			defer wg.Done()
 			defer guard(&panics, &stop)
-			h := st.Register()
-			defer h.Unregister()
+			s := register()
+			defer s.Unregister()
 			var local int64
 			defer func() { ops.Add(local) }()
 			for !stop.Load() {
-				if (int64(w)+local)%2 == 0 {
-					st.Push(h, uint64(local))
-				} else {
-					st.Pop(h)
-				}
+				op(s, w, local)
 				local++
 			}
 		}(w)
@@ -389,42 +356,46 @@ func stressStack(s bench.Scheme, threads int, dur time.Duration) (int64, int64) 
 	time.Sleep(dur)
 	stop.Store(true)
 	wg.Wait()
-	faults := st.Arena().Stats().Faults + panics.Load()
-	st.Drain()
-	return faults, ops.Load()
+	f := faults() + panics.Load()
+	drain()
+	return f, ops.Load()
 }
 
+// stressQueue runs even workers as producers and odd ones as consumers.
+func stressQueue(s bench.Scheme, threads int, dur time.Duration) (int64, int64) {
+	q := queue.New(s.Make, queue.WithChecked(true), queue.WithMaxThreads(capFor(threads)))
+	return stressRoles(threads, dur, q.Register, func(g *smr.Guard, w int, i int64) {
+		if w%2 == 0 {
+			q.Enqueue(g, uint64(i))
+		} else {
+			q.Dequeue(g)
+		}
+	}, func() int64 { return q.Arena().Stats().Faults }, q.Drain)
+}
+
+// stressStack alternates every worker between push and pop.
+func stressStack(s bench.Scheme, threads int, dur time.Duration) (int64, int64) {
+	st := stack.New(s.Make, stack.WithChecked(true), stack.WithMaxThreads(capFor(threads)))
+	return stressRoles(threads, dur, st.Register, func(g *smr.Guard, w int, i int64) {
+		if (int64(w)+i)%2 == 0 {
+			st.Push(g, uint64(i))
+		} else {
+			st.Pop(g)
+		}
+	}, func() int64 { return st.Arena().Stats().Faults }, st.Drain)
+}
+
+// stressWFQueue runs the queue's producer/consumer split on the wait-free
+// queue; faults sum both of its arenas.
 func stressWFQueue(s bench.Scheme, threads int, dur time.Duration) (int64, int64) {
-	q := wfqueue.New(wfqueue.DomainFactory(s.Make), wfqueue.WithChecked(true), wfqueue.WithMaxThreads(capFor(threads)))
-	var stop atomic.Bool
-	var panics atomic.Int64
-	var ops atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(producer bool) {
-			defer wg.Done()
-			defer guard(&panics, &stop)
-			h := q.Register()
-			defer q.Unregister(h)
-			var local int64
-			defer func() { ops.Add(local) }()
-			for !stop.Load() {
-				if producer {
-					q.Enqueue(h, uint64(local))
-				} else {
-					q.Dequeue(h)
-				}
-				local++
-			}
-		}(w%2 == 0)
-	}
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	faults := q.NodeArena().Stats().Faults + q.DescArena().Stats().Faults + panics.Load()
-	q.Drain()
-	return faults, ops.Load()
+	q := wfqueue.New(s.Make, wfqueue.WithChecked(true), wfqueue.WithMaxThreads(capFor(threads)))
+	return stressRoles(threads, dur, q.Register, func(h *wfqueue.Handle, w int, i int64) {
+		if w%2 == 0 {
+			q.Enqueue(h, uint64(i))
+		} else {
+			q.Dequeue(h)
+		}
+	}, func() int64 { return q.NodeArena().Stats().Faults + q.DescArena().Stats().Faults }, q.Drain)
 }
 
 func stressSkipList(s bench.Scheme, threads int, dur time.Duration) (int64, int64) {
@@ -432,7 +403,7 @@ func stressSkipList(s bench.Scheme, threads int, dur time.Duration) (int64, int6
 	if byteSizer != nil {
 		opts = append(opts, skiplist.WithByteValues(byteSizer))
 	}
-	sl := skiplist.New(skiplist.DomainFactory(s.Make), opts...)
+	sl := skiplist.New(s.Make, opts...)
 	faults, ops := churnSet(sl, func() int64 { return sl.Arena().Stats().Faults }, threads, dur)
 	sl.Drain()
 	return faults, ops

@@ -325,3 +325,33 @@ func TestMeasurePerNodeIBR(t *testing.T) {
 		t.Fatalf("IBR per-node stores/rmws = %.3f/%.3f", stores, rmws)
 	}
 }
+
+// TestKAdvanceRowsAdvanceEveryKthRetire checks the scheme KAdvance builds
+// its rows from: EveryRetire(HEk(k)) advances the era clock on every k-th
+// retire, so k = 1 is Algorithm 3's advance on every retire and the
+// cadence falls with k. Eight sessions of three slots make the default
+// trigger scan once per 24 retires; HEk(1) alone would advance only there,
+// less often than k = 4.
+func TestKAdvanceRowsAdvanceEveryKthRetire(t *testing.T) {
+	const retires = 96
+	for _, k := range []int{1, 4, 16} {
+		d := smr.NewWith[uint64](EveryRetire(HEk(k)).Make, smr.Config{MaxThreads: 8, Slots: 3})
+		guards := make([]*smr.Guard, 8)
+		for i := range guards {
+			guards[i] = d.Register()
+		}
+		g := guards[0]
+		for i := 0; i < retires; i++ {
+			p, _ := d.Alloc(g)
+			d.Publish(p.Ref())
+			g.Retire(p.Ref())
+		}
+		if got, want := d.Stats().EraClock-1, uint64(retires/k); got != want {
+			t.Errorf("k=%d: %d era advances in %d retires, want %d", k, got, retires, want)
+		}
+		for _, g := range guards {
+			g.Unregister()
+		}
+		d.Drain()
+	}
+}

@@ -11,11 +11,13 @@ import (
 )
 
 // Set is the structure interface the harness drives — satisfied by
-// list.List, hashmap.Map and bst.Tree.
+// list.List, hashmap.Map, bst.Tree and skiplist.SkipList. Register opens
+// a worker's session; Domain names the scheme and reads its accounting.
 type Set interface {
 	Insert(g *smr.Guard, key, val uint64) bool
 	Remove(g *smr.Guard, key uint64) bool
 	Contains(g *smr.Guard, key uint64) bool
+	Register() *smr.Guard
 	Domain() smr.Backend
 }
 
@@ -51,7 +53,7 @@ func RunSet(s Set, w Workload, dur time.Duration, seed uint64) Result {
 		done.Add(1)
 		go func(worker int) {
 			defer done.Done()
-			g := smr.Adopt(dom.Register())
+			g := s.Register()
 			defer g.Unregister()
 			rng := NewSplitMix64(seed + uint64(worker)*0x9E37)
 			ready.Done()
@@ -100,8 +102,7 @@ func RunSet(s Set, w Workload, dur time.Duration, seed uint64) Result {
 // full key range before measuring). Keys go in descending order so each
 // insert lands at the head of a sorted list: O(n) total instead of O(n^2).
 func Prefill(s Set, size uint64) {
-	dom := s.Domain()
-	g := smr.Adopt(dom.Register())
+	g := s.Register()
 	for k := size; k > 0; k-- {
 		s.Insert(g, k-1, k-1)
 	}
@@ -124,12 +125,11 @@ type Pinnable interface {
 // callers must wait on it after closing release and before Drain, or the
 // reader's abandonment races the drain's residue sweep.
 func StalledReader(s Pinnable, release <-chan struct{}) (done <-chan struct{}) {
-	dom := s.Domain()
 	parked := make(chan struct{})
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		g := smr.Adopt(dom.Register())
+		g := s.Register()
 		s.Pin(g)
 		close(parked)
 		<-release

@@ -11,16 +11,12 @@ import (
 	"repro/smr"
 )
 
-// Factory constructs a reclamation domain over an allocator; it matches
-// list.DomainFactory / queue.DomainFactory / bst.DomainFactory.
-type Factory = smr.Factory
-
 // Scheme pairs a display name with its domain factory. The name labels
 // result rows and, under an Env with a hub, the scheme's obs domain, so
 // parameterized variants (HE-R1, HE-k10) stay distinguishable.
 type Scheme struct {
 	Name string
-	Make Factory
+	Make smr.Factory
 }
 
 // Of returns the harness entry for a registered smr scheme.

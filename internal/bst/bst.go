@@ -14,7 +14,9 @@
 // about: *reader-side* protection cost on deep paths. A fully non-blocking
 // writer protocol (Ellen et al. 2010) would change writer scalability but
 // not the reader-side protection traffic being measured; DESIGN.md records
-// the substitution.
+// the substitution. Like internal/list, the tree is written entirely
+// against the public smr API; writers walk with Atomic.Peek and
+// Domain.DerefQuiescent, because the writer mutex serializes every retirer.
 //
 // Reader validation protocol per descent step (same anchor-re-validation
 // argument as the Michael-Scott queue): protect the child read from
@@ -36,11 +38,7 @@ package bst
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/mem"
-	"repro/internal/payload"
-	"repro/internal/reclaim"
 	"repro/internal/schedtest"
 	"repro/smr"
 )
@@ -58,33 +56,31 @@ const (
 )
 
 // Node is a tree cell: a leaf carries Key/Val; an internal routes on bit
-// index Bit (LSB-first) and always has two non-nil children. Val is atomic
-// because in byte-value mode it names a size-class payload block that
-// readers protect through it.
+// index Bit (LSB-first) and always has two non-nil children. Val is an
+// atomic value cell because in byte-value mode it names a size-class
+// payload block that readers protect through it.
 type Node struct {
 	Kind  uint64
 	Bit   uint64 // internal: the key bit this node routes on
 	Key   uint64 // leaf: full key
-	Val   atomic.Uint64
-	Child [2]atomic.Uint64
+	Val   smr.AtomicBytes
+	Child [2]smr.Atomic[Node]
 }
 
 // PoisonNode smashes a freed node for use-after-free visibility.
 func PoisonNode(n *Node) {
 	n.Key = 0xDEADDEADDEADDEAD
 	n.Kind = 0xDEAD
-	bad := uint64(mem.MakeRef(mem.MaxIndex, 0))
-	n.Val.Store(bad)
-	n.Child[0].Store(bad)
-	n.Child[1].Store(bad)
+	n.Val.Store(smr.BytesOf(smr.InvalidRef()))
+	n.Child[0].Store(smr.PtrOf[Node](smr.InvalidRef()))
+	n.Child[1].Store(smr.PtrOf[Node](smr.InvalidRef()))
 }
 
 // Tree is the concurrent PATRICIA set.
 type Tree struct {
-	arena *mem.Arena[Node]
-	dom   reclaim.Domain
-	root  atomic.Uint64
-	mu    sync.Mutex // serializes writers only; readers never take it
+	d    *smr.Domain[Node]
+	root smr.Atomic[Node]
+	mu   sync.Mutex // serializes writers only; readers never take it
 
 	byteVals bool
 	valSizer func(key uint64) int
@@ -114,46 +110,42 @@ func WithByteValues(sizer func(key uint64) int) Option {
 	return func(c *config) { c.byteVals = true; c.valSizer = sizer }
 }
 
-// DomainFactory mirrors list.DomainFactory.
-type DomainFactory = smr.Factory
-
 // New builds an empty tree reclaimed through mk's domain. The domain is
 // configured with Slots protection indices — one per path level — which is
 // precisely the configuration §3.4 calls impractically expensive for HP.
-func New(mk DomainFactory, opts ...Option) *Tree {
+func New(mk smr.Factory, opts ...Option) *Tree {
 	c := config{threads: 64}
 	for _, o := range opts {
 		o(&c)
 	}
-	arenaOpts := []mem.Option[Node]{mem.WithShards[Node](c.threads)}
+	var arenaOpts []smr.ArenaOption[Node]
 	if c.checked {
-		arenaOpts = append(arenaOpts, mem.Checked[Node](true), mem.WithPoison[Node](PoisonNode))
+		arenaOpts = append(arenaOpts, smr.Checked[Node](true), smr.WithPoison(PoisonNode))
 	}
 	if c.byteVals {
-		arenaOpts = append(arenaOpts, mem.WithByteClasses[Node]())
+		arenaOpts = append(arenaOpts, smr.WithByteValues[Node]())
 	}
-	arena := mem.NewArena[Node](arenaOpts...)
-	dom := mk(arena, reclaim.Config{MaxThreads: c.threads, Slots: Slots})
-	return &Tree{arena: arena, dom: dom, byteVals: c.byteVals, valSizer: c.valSizer}
+	d := smr.NewWith[Node](mk, smr.Config{MaxThreads: c.threads, Slots: Slots}, arenaOpts...)
+	return &Tree{d: d, byteVals: c.byteVals, valSizer: c.valSizer}
 }
 
-// Domain exposes the reclamation domain.
-func (t *Tree) Domain() reclaim.Domain { return t.dom }
+// Domain exposes the scheme-level backend for generic drivers.
+func (t *Tree) Domain() smr.Backend { return t.d.Backend() }
 
 // Arena exposes the node arena.
-func (t *Tree) Arena() *mem.Arena[Node] { return t.arena }
+func (t *Tree) Arena() *smr.Arena[Node] { return t.d.Arena() }
 
 // Register opens a session on the tree's domain.
-func (t *Tree) Register() *smr.Guard { return smr.Adopt(t.dom.Register()) }
+func (t *Tree) Register() *smr.Guard { return t.d.Register() }
 
 // Acquire returns a pooled session on the tree's domain.
-func (t *Tree) Acquire() *smr.Guard { return smr.Adopt(t.dom.Acquire()) }
+func (t *Tree) Acquire() *smr.Guard { return t.d.Acquire() }
 
 func bit(key uint64, i uint64) int { return int(key >> i & 1) }
 
 // Contains reports membership of key.
 func (t *Tree) Contains(g *smr.Guard, key uint64) bool {
-	_, _, ok := t.get(g.Handle(), key, readNone)
+	_, _, ok := t.get(g, key, readNone)
 	return ok
 }
 
@@ -161,14 +153,14 @@ func (t *Tree) Contains(g *smr.Guard, key uint64) bool {
 // value word of the payload block). Lock-free; protects the whole
 // root-to-leaf path, one slot per level.
 func (t *Tree) Get(g *smr.Guard, key uint64) (uint64, bool) {
-	v, _, ok := t.get(g.Handle(), key, readVal)
+	v, _, ok := t.get(g, key, readVal)
 	return v, ok
 }
 
 // GetBytes returns a copy of key's payload block (byte-value mode only);
 // the copy is taken while the payload is still protected.
 func (t *Tree) GetBytes(g *smr.Guard, key uint64) ([]byte, bool) {
-	_, buf, ok := t.get(g.Handle(), key, readCopy)
+	_, buf, ok := t.get(g, key, readCopy)
 	return buf, ok
 }
 
@@ -179,20 +171,20 @@ const (
 	readCopy
 )
 
-func (t *Tree) get(h *reclaim.Handle, key uint64, mode int) (val uint64, buf []byte, ok bool) {
-	arena := t.arena
-	h.BeginOp()
-	defer h.EndOp()
+func (t *Tree) get(g *smr.Guard, key uint64, mode int) (val uint64, buf []byte, ok bool) {
+	d := t.d
+	g.BeginOp()
+	defer g.EndOp()
 retry:
 	for {
 		edge := &t.root
 		slot := 0
-		cur := h.Protect(slot, edge)
+		cur := edge.Load(g, slot)
 		if cur.IsNil() {
 			return 0, nil, false
 		}
 		for {
-			n := arena.Get(cur)
+			n := d.Deref(g, cur)
 			if n.Kind == kindLeaf {
 				if n.Key != key {
 					return 0, nil, false
@@ -201,7 +193,7 @@ retry:
 					return 0, nil, true
 				}
 				if !t.byteVals {
-					return n.Val.Load(), nil, true
+					return n.Val.LoadWord(), nil, true
 				}
 				// Byte mode: the payload is a separate block that Remove
 				// retires, so it needs its own protection. Publish at
@@ -213,24 +205,24 @@ retry:
 				// the payload's retirement, and the retirer's scan must
 				// honor this hold.
 				schedtest.Point(schedtest.PointCAS)
-				pRef := h.Protect(slot+1, &n.Val)
-				if edge.Load() != uint64(cur) {
+				pRef := n.Val.Load(g, slot+1)
+				if edge.Peek() != cur {
 					continue retry
 				}
-				p := arena.Bytes(pRef)
+				p := d.DerefBytes(g, pRef)
 				if mode == readCopy {
 					buf = append([]byte(nil), p...)
 				}
-				return payload.Decode(p), buf, true
+				return smr.DecodePayload(p), buf, true
 			}
 			childEdge := &n.Child[bit(key, n.Bit)]
 			slot++
 			schedtest.Point(schedtest.PointCAS)
-			child := h.Protect(slot, childEdge)
+			child := childEdge.Load(g, slot)
 			// Anchor re-validation: if cur was unlinked, its own edges are
 			// marked (child) or the edge that led to it changed or was
 			// marked, and the protection on child may be stale.
-			if child.Marked() || edge.Load() != uint64(cur) {
+			if child.Marked() || edge.Peek() != cur {
 				continue retry
 			}
 			edge = childEdge
@@ -243,79 +235,80 @@ retry:
 // byte-value mode the value is materialized as a valSizer(key)-byte
 // payload block.
 func (t *Tree) Insert(g *smr.Guard, key, val uint64) bool {
-	return t.insert(g.Handle(), key, val, nil)
+	return t.insert(g, key, val, nil)
 }
 
 // InsertBytes adds key->raw, storing a copy of raw as the payload block.
 // Byte-value mode only; the arena faults otherwise.
 func (t *Tree) InsertBytes(g *smr.Guard, key uint64, raw []byte) bool {
-	return t.insert(g.Handle(), key, 0, raw)
+	return t.insert(g, key, 0, raw)
 }
 
-func (t *Tree) insert(h *reclaim.Handle, key, val uint64, raw []byte) bool {
+func (t *Tree) insert(g *smr.Guard, key, val uint64, raw []byte) bool {
+	d := t.d
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	if mem.Ref(t.root.Load()).IsNil() {
-		leaf := t.newLeaf(h, key, val, raw)
-		t.root.Store(uint64(leaf))
+	if t.root.Peek().IsNil() {
+		t.root.Store(t.newLeaf(g, key, val, raw))
 		return true
 	}
 	// Phase 1: descend to the nearest leaf to find the first differing bit.
-	ref := mem.Ref(t.root.Load())
+	p := t.root.Peek()
 	for {
-		n := t.arena.Get(ref)
+		n := d.DerefQuiescent(p)
 		if n.Kind == kindLeaf {
 			if n.Key == key {
 				return false
 			}
 			break
 		}
-		ref = mem.Ref(n.Child[bit(key, n.Bit)].Load())
+		p = n.Child[bit(key, n.Bit)].Peek()
 	}
-	diff := uint64(bits.TrailingZeros64(t.arena.Get(ref).Key ^ key))
+	diff := uint64(bits.TrailingZeros64(d.DerefQuiescent(p).Key ^ key))
 
 	// Phase 2: descend again to the edge where the new internal belongs —
 	// the first edge whose target is a leaf or routes on a bit above diff.
 	edge := &t.root
 	for {
-		cur := mem.Ref(edge.Load())
-		n := t.arena.Get(cur)
+		cur := edge.Peek()
+		n := d.DerefQuiescent(cur)
 		if n.Kind == kindLeaf || n.Bit > diff {
-			leaf := t.newLeaf(h, key, val, raw)
-			inner, in := t.arena.AllocAt(h.ID())
+			leaf := t.newLeaf(g, key, val, raw)
+			inner, in := d.Alloc(g)
 			in.Kind = kindInternal
 			in.Bit = diff
-			in.Child[bit(key, diff)].Store(uint64(leaf))
-			in.Child[1-bit(key, diff)].Store(uint64(cur))
-			t.dom.OnAlloc(inner)
-			edge.Store(uint64(inner))
+			in.Child[bit(key, diff)].Store(leaf)
+			in.Child[1-bit(key, diff)].Store(cur)
+			d.Publish(inner.Ref())
+			edge.Store(inner)
 			return true
 		}
 		edge = &n.Child[bit(key, n.Bit)]
 	}
 }
 
-func (t *Tree) newLeaf(h *reclaim.Handle, key, val uint64, raw []byte) mem.Ref {
-	ref, n := t.arena.AllocAt(h.ID())
+func (t *Tree) newLeaf(g *smr.Guard, key, val uint64, raw []byte) smr.Ptr[Node] {
+	d := t.d
+	leaf, n := d.Alloc(g)
 	n.Kind = kindLeaf
 	n.Key = key
 	if t.byteVals || raw != nil {
-		var pRef mem.Ref
+		var b smr.Bytes
 		if raw != nil {
-			pRef = t.arena.PutBytesAt(h.ID(), raw)
+			b = d.PutBytes(g, raw)
 		} else {
 			var p []byte
-			pRef, p = t.arena.AllocBytesAt(h.ID(), payload.SizeFor(t.valSizer, key))
-			payload.Encode(p, val)
+			b, p = d.AllocBytes(g, smr.PayloadSize(t.valSizer, key))
+			smr.EncodePayload(p, val)
 		}
-		n.Val.Store(uint64(pRef))
-		t.dom.OnAlloc(pRef) // payload birth stamp before it becomes reachable
+		n.Val.Store(b)
+		d.Publish(b.Ref()) // payload birth stamp before it becomes reachable
 	} else {
-		n.Val.Store(val)
+		n.Val.StoreWord(val)
 	}
-	t.dom.OnAlloc(ref)
-	return ref
+	d.Publish(leaf.Ref())
+	return leaf
 }
 
 // Remove deletes key; false if absent. Writer-serialized. The removed leaf
@@ -323,20 +316,19 @@ func (t *Tree) newLeaf(h *reclaim.Handle, key, val uint64, raw []byte) mem.Ref {
 // the retirements that exercise HP's O(threads x Slots) scan versus
 // HE-minmax's O(threads x 2).
 func (t *Tree) Remove(g *smr.Guard, key uint64) bool {
-	h := g.Handle()
+	d := t.d
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	rootRef := mem.Ref(t.root.Load())
-	if rootRef.IsNil() {
+	cur := t.root.Peek()
+	if cur.IsNil() {
 		return false
 	}
-	var gpEdge *atomic.Uint64
+	var gpEdge *smr.Atomic[Node]
 	edge := &t.root
-	cur := rootRef
-	var parent mem.Ref
+	var parent smr.Ptr[Node]
 	for {
-		n := t.arena.Get(cur)
+		n := d.DerefQuiescent(cur)
 		if n.Kind == kindLeaf {
 			if n.Key != key {
 				return false
@@ -346,90 +338,85 @@ func (t *Tree) Remove(g *smr.Guard, key uint64) bool {
 		gpEdge = edge
 		parent = cur
 		edge = &n.Child[bit(key, n.Bit)]
-		cur = mem.Ref(edge.Load())
+		cur = edge.Peek()
 	}
 	if parent.IsNil() {
 		// The leaf is the root.
-		t.root.Store(0)
-		t.retireLeaf(h, cur)
+		t.root.Store(smr.Ptr[Node]{})
+		t.retireLeaf(g, cur)
 		return true
 	}
-	pn := t.arena.Get(parent)
+	pn := d.DerefQuiescent(parent)
 	b := bit(key, pn.Bit)
-	sibling := pn.Child[1-b].Load()
+	sibling := pn.Child[1-b].Peek()
 	schedtest.Point(schedtest.PointCAS)
 	// Mark parent's edges before the unlink, so a reader whose anchor is
 	// one of them sees it changed (see the package comment).
-	pn.Child[b].Store(uint64(cur | mem.MarkBit))
-	pn.Child[1-b].Store(sibling | uint64(mem.MarkBit))
+	pn.Child[b].Store(cur.WithMark())
+	pn.Child[1-b].Store(sibling.WithMark())
 	gpEdge.Store(sibling) // unlink parent (and with it the leaf)
-	h.Retire(parent)
-	t.retireLeaf(h, cur)
+	g.Retire(parent.Ref())
+	t.retireLeaf(g, cur)
 	return true
 }
 
 // retireLeaf retires a leaf through the domain; in byte-value mode its
 // payload goes first — the ref must be read while the leaf is still
 // allocated, and retiring it ahead keeps the free order payload-then-node.
-func (t *Tree) retireLeaf(h *reclaim.Handle, leaf mem.Ref) {
+func (t *Tree) retireLeaf(g *smr.Guard, leaf smr.Ptr[Node]) {
 	if t.byteVals {
-		h.Retire(mem.Ref(t.arena.Get(leaf).Val.Load()))
+		g.Retire(t.d.DerefQuiescent(leaf).Val.Peek().Ref())
 	}
-	h.Retire(leaf)
+	g.Retire(leaf.Ref())
 }
 
 // Len counts leaves; quiescent use only.
-func (t *Tree) Len() int {
-	return t.countLeaves(mem.Ref(t.root.Load()))
-}
+func (t *Tree) Len() int { return t.countLeaves(t.root.Peek()) }
 
-func (t *Tree) countLeaves(ref mem.Ref) int {
-	if ref.IsNil() {
+func (t *Tree) countLeaves(p smr.Ptr[Node]) int {
+	if p.IsNil() {
 		return 0
 	}
-	n := t.arena.Get(ref)
+	n := t.d.DerefQuiescent(p)
 	if n.Kind == kindLeaf {
 		return 1
 	}
-	return t.countLeaves(mem.Ref(n.Child[0].Load())) + t.countLeaves(mem.Ref(n.Child[1].Load()))
+	return t.countLeaves(n.Child[0].Peek()) + t.countLeaves(n.Child[1].Peek())
 }
 
 // Depth returns the maximum root-to-leaf path length; quiescent use only.
-func (t *Tree) Depth() int {
-	return t.depth(mem.Ref(t.root.Load()))
-}
+func (t *Tree) Depth() int { return t.depth(t.root.Peek()) }
 
-func (t *Tree) depth(ref mem.Ref) int {
-	if ref.IsNil() {
+func (t *Tree) depth(p smr.Ptr[Node]) int {
+	if p.IsNil() {
 		return 0
 	}
-	n := t.arena.Get(ref)
+	n := t.d.DerefQuiescent(p)
 	if n.Kind == kindLeaf {
 		return 1
 	}
-	l, r := t.depth(mem.Ref(n.Child[0].Load())), t.depth(mem.Ref(n.Child[1].Load()))
-	return 1 + max(l, r)
+	return 1 + max(t.depth(n.Child[0].Peek()), t.depth(n.Child[1].Peek()))
 }
 
 // Drain tears the tree down at quiescence.
 func (t *Tree) Drain() {
-	t.drain(mem.Ref(t.root.Load()))
-	t.root.Store(0)
-	t.dom.Drain()
+	t.drain(t.root.Peek())
+	t.root.Store(smr.Ptr[Node]{})
+	t.d.Drain()
 }
 
-func (t *Tree) drain(ref mem.Ref) {
-	if ref.IsNil() {
+func (t *Tree) drain(p smr.Ptr[Node]) {
+	if p.IsNil() {
 		return
 	}
-	n := t.arena.Get(ref)
+	n := t.d.DerefQuiescent(p)
 	if n.Kind == kindInternal {
-		t.drain(mem.Ref(n.Child[0].Load()))
-		t.drain(mem.Ref(n.Child[1].Load()))
+		t.drain(n.Child[0].Peek())
+		t.drain(n.Child[1].Peek())
 	} else if t.byteVals {
-		if pRef := mem.Ref(n.Val.Load()); !pRef.IsNil() {
-			t.arena.Free(pRef)
+		if b := n.Val.Peek(); !b.IsNil() {
+			t.d.Drop(b.Ref())
 		}
 	}
-	t.arena.Free(ref)
+	t.d.Drop(p.Ref())
 }

@@ -7,24 +7,15 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
-	"repro/internal/hp"
-	"repro/internal/reclaim"
+	"repro/smr"
 )
 
-func factories() map[string]DomainFactory {
-	return map[string]DomainFactory{
-		"HE": func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return core.New(a, c) },
-		"HE-minmax": func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
-			return core.New(a, c, core.WithMinMax(true))
-		},
-		"HP": func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return hp.New(a, c) },
-	}
-}
+// schemes are the registry rows the concurrent tests run.
+var schemes = []smr.Scheme{smr.HE, smr.HEMinMax, smr.HP}
 
 func heTree(t *testing.T) *Tree {
 	t.Helper()
-	return New(factories()["HE"], WithChecked(true), WithMaxThreads(16))
+	return New(smr.HE.Factory(), WithChecked(true), WithMaxThreads(16))
 }
 
 func TestEmptyTree(t *testing.T) {
@@ -130,7 +121,7 @@ func TestQuickModelEquivalence(t *testing.T) {
 		Key  uint8
 	}
 	prop := func(ops []op) bool {
-		tr := New(factories()["HE"], WithChecked(true), WithMaxThreads(2))
+		tr := New(smr.HE.Factory(), WithChecked(true), WithMaxThreads(2))
 		h := tr.Register()
 		model := map[uint64]uint64{}
 		for _, o := range ops {
@@ -176,9 +167,9 @@ func TestConcurrentReadersWithChurningWriter(t *testing.T) {
 		iters = 120
 	}
 	const keyRange = 256
-	for name, mk := range factories() {
-		t.Run(name, func(t *testing.T) {
-			tr := New(mk, WithChecked(true), WithMaxThreads(8))
+	for _, sch := range schemes {
+		t.Run(sch.String(), func(t *testing.T) {
+			tr := New(sch.Factory(), WithChecked(true), WithMaxThreads(8))
 			setup := tr.Register()
 			for k := uint64(0); k < keyRange; k++ {
 				tr.Insert(setup, k*2654435761, k)
@@ -216,14 +207,14 @@ func TestConcurrentReadersWithChurningWriter(t *testing.T) {
 			}()
 			wg.Wait()
 			if f := tr.Arena().Stats().Faults; f != 0 {
-				t.Fatalf("%s: %d memory faults", name, f)
+				t.Fatalf("%s: %d memory faults", sch, f)
 			}
 			if got := tr.Len(); got != keyRange {
-				t.Fatalf("%s: Len = %d, want %d", name, got, keyRange)
+				t.Fatalf("%s: Len = %d, want %d", sch, got, keyRange)
 			}
 			tr.Drain()
 			if live := tr.Arena().Stats().Live; live != 0 {
-				t.Fatalf("%s: leaked %d nodes", name, live)
+				t.Fatalf("%s: leaked %d nodes", sch, live)
 			}
 		})
 	}

@@ -8,18 +8,19 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/payload"
+	"repro/smr"
 )
 
 // testSizer spreads payloads across the ladder: 8B..~512B depending on key.
 func testSizer(key uint64) int { return int(key*29%512) + 1 }
 
-func byteTree(t *testing.T, name string) *Tree {
+func byteTree(t *testing.T, s smr.Scheme) *Tree {
 	t.Helper()
-	return New(factories()[name], WithChecked(true), WithMaxThreads(8), WithByteValues(testSizer))
+	return New(s.Factory(), WithChecked(true), WithMaxThreads(8), WithByteValues(testSizer))
 }
 
 func TestByteValuesRoundTrip(t *testing.T) {
-	tr := byteTree(t, "HE")
+	tr := byteTree(t, smr.HE)
 	h := tr.Register()
 
 	for key := uint64(0); key < 200; key++ {
@@ -69,9 +70,9 @@ func TestByteValuesChurnConcurrent(t *testing.T) {
 		keyRange = 128
 		ops      = 2000
 	)
-	for _, name := range []string{"HE", "HE-minmax", "HP"} {
-		t.Run(name, func(t *testing.T) {
-			tr := byteTree(t, name)
+	for _, sch := range schemes {
+		t.Run(sch.String(), func(t *testing.T) {
+			tr := byteTree(t, sch)
 			freed := make(map[mem.Ref]int)
 			var mu sync.Mutex
 			tr.Domain().(interface{ SetFreeGuard(func(mem.Ref)) }).SetFreeGuard(func(ref mem.Ref) {

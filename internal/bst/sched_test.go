@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/bst"
-	"repro/internal/reclaim"
 	"repro/internal/schedtest"
 	"repro/smr"
 )
@@ -32,7 +31,7 @@ func TestScheduleReaderAnchorsInUnlinkedNodes(t *testing.T) {
 			continue
 		}
 		t.Run(s.String(), func(t *testing.T) {
-			mk := func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
+			mk := func(a smr.Allocator, c smr.Config) smr.Backend {
 				d := s.Factory()(a, c)
 				d.(interface{ SetScanThreshold(int) }).SetScanThreshold(1)
 				return d

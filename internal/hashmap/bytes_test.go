@@ -7,19 +7,20 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/payload"
+	"repro/smr"
 )
 
 // testSizer spreads payloads across the ladder: 8B..~4KB depending on key.
 func testSizer(key uint64) int { return int(key*131%4096) + 1 }
 
-func byteMap(t *testing.T, name string) *Map {
+func byteMap(t *testing.T, s smr.Scheme) *Map {
 	t.Helper()
-	return New(factories()[name], WithChecked(true), WithMaxThreads(8),
+	return New(s.Factory(), WithChecked(true), WithMaxThreads(8),
 		WithBuckets(64), WithByteValues(testSizer))
 }
 
 func TestByteValuesRoundTrip(t *testing.T) {
-	m := byteMap(t, "HE")
+	m := byteMap(t, smr.HE)
 	h := m.Register()
 
 	for key := uint64(0); key < 300; key++ {
@@ -67,9 +68,9 @@ func TestByteValuesChurnConcurrent(t *testing.T) {
 		keyRange = 256
 		ops      = 4000
 	)
-	for _, name := range []string{"HE", "HP", "EBR", "URCU"} {
-		t.Run(name, func(t *testing.T) {
-			m := byteMap(t, name)
+	for _, sch := range schemes {
+		t.Run(sch.String(), func(t *testing.T) {
+			m := byteMap(t, sch)
 			freed := make(map[mem.Ref]int)
 			var mu sync.Mutex
 			m.Domain().(interface{ SetFreeGuard(func(mem.Ref)) }).SetFreeGuard(func(ref mem.Ref) {
@@ -137,7 +138,7 @@ func TestByteValuesChurnConcurrent(t *testing.T) {
 // TestByteValuesSharedArenaClasses pins that all buckets share one
 // size-class space: per-class stats aggregate across buckets.
 func TestByteValuesSharedArenaClasses(t *testing.T) {
-	m := byteMap(t, "HE")
+	m := byteMap(t, smr.HE)
 	h := m.Register()
 	for key := uint64(0); key < 64; key++ {
 		m.Insert(h, key, key)

@@ -62,7 +62,7 @@ func WithByteValues(sizer func(key uint64) int) Option {
 
 // New builds an empty map whose nodes are reclaimed through the domain
 // produced by mk.
-func New(mk list.DomainFactory, opts ...Option) *Map {
+func New(mk smr.Factory, opts ...Option) *Map {
 	c := config{threads: 64, buckets: 1024}
 	for _, o := range opts {
 		o(&c)

@@ -6,26 +6,15 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
-	"repro/internal/ebr"
-	"repro/internal/hp"
-	"repro/internal/list"
-	"repro/internal/reclaim"
-	"repro/internal/urcu"
+	"repro/smr"
 )
 
-func factories() map[string]list.DomainFactory {
-	return map[string]list.DomainFactory{
-		"HE":   func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return core.New(a, c) },
-		"HP":   func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return hp.New(a, c) },
-		"EBR":  func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return ebr.New(a, c) },
-		"URCU": func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return urcu.New(a, c) },
-	}
-}
+// schemes are the registry rows the concurrent tests run.
+var schemes = []smr.Scheme{smr.HE, smr.HP, smr.EBR, smr.URCU}
 
 func heMap(t *testing.T, buckets int) *Map {
 	t.Helper()
-	return New(factories()["HE"], WithChecked(true), WithMaxThreads(16), WithBuckets(buckets))
+	return New(smr.HE.Factory(), WithChecked(true), WithMaxThreads(16), WithBuckets(buckets))
 }
 
 func TestBucketCountRoundsToPowerOfTwo(t *testing.T) {
@@ -99,7 +88,7 @@ func TestQuickModelEquivalence(t *testing.T) {
 		Key  uint16
 	}
 	prop := func(ops []op) bool {
-		m := New(factories()["HE"], WithChecked(true), WithMaxThreads(2), WithBuckets(8))
+		m := New(smr.HE.Factory(), WithChecked(true), WithMaxThreads(2), WithBuckets(8))
 		h := m.Register()
 		model := map[uint64]uint64{}
 		for _, o := range ops {
@@ -143,9 +132,9 @@ func TestConcurrentChurnAllSchemes(t *testing.T) {
 		iters = 150
 	}
 	const keyRange = 512
-	for name, mk := range factories() {
-		t.Run(name, func(t *testing.T) {
-			m := New(mk, WithChecked(true), WithMaxThreads(threads), WithBuckets(64))
+	for _, sch := range schemes {
+		t.Run(sch.String(), func(t *testing.T) {
+			m := New(sch.Factory(), WithChecked(true), WithMaxThreads(threads), WithBuckets(64))
 			setup := m.Register()
 			for k := uint64(0); k < keyRange; k++ {
 				m.Insert(setup, k, k)
@@ -174,14 +163,14 @@ func TestConcurrentChurnAllSchemes(t *testing.T) {
 			}
 			wg.Wait()
 			if f := m.Arena().Stats().Faults; f != 0 {
-				t.Fatalf("%s: %d memory faults", name, f)
+				t.Fatalf("%s: %d memory faults", sch, f)
 			}
 			if got := m.Len(); got != keyRange {
-				t.Fatalf("%s: Len = %d, want %d", name, got, keyRange)
+				t.Fatalf("%s: Len = %d, want %d", sch, got, keyRange)
 			}
 			m.Drain()
 			if live := m.Arena().Stats().Live; live != 0 {
-				t.Fatalf("%s: leaked %d nodes", name, live)
+				t.Fatalf("%s: leaked %d nodes", sch, live)
 			}
 		})
 	}
@@ -190,7 +179,7 @@ func TestConcurrentChurnAllSchemes(t *testing.T) {
 // TestUpdateAllocatesNothing: the map's word-mode Remove+Insert, the
 // heperf churn step, makes no Go-heap allocation.
 func TestUpdateAllocatesNothing(t *testing.T) {
-	m := New(factories()["HE"], WithMaxThreads(4), WithBuckets(64))
+	m := New(smr.HE.Factory(), WithMaxThreads(4), WithBuckets(64))
 	g := m.Register()
 	for k := uint64(0); k < 256; k++ {
 		m.Insert(g, k, k)

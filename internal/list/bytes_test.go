@@ -7,18 +7,19 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/payload"
+	"repro/smr"
 )
 
 // testSizer spreads payloads across the ladder: 8B..~2KB depending on key.
 func testSizer(key uint64) int { return int(key*37%2048) + 1 }
 
-func byteList(t *testing.T, name string) *List {
+func byteList(t *testing.T, s smr.Scheme) *List {
 	t.Helper()
-	return New(factories()[name], WithChecked(true), WithMaxThreads(8), WithByteValues(testSizer))
+	return New(s.Factory(), WithChecked(true), WithMaxThreads(8), WithByteValues(testSizer))
 }
 
 func TestByteValuesRoundTrip(t *testing.T) {
-	l := byteList(t, "HE")
+	l := byteList(t, smr.HE)
 	h := l.Register()
 
 	for key := uint64(0); key < 100; key++ {
@@ -62,7 +63,7 @@ func TestByteValuesRoundTrip(t *testing.T) {
 }
 
 func TestByteValuesInsertBytes(t *testing.T) {
-	l := byteList(t, "HE")
+	l := byteList(t, smr.HE)
 	h := l.Register()
 
 	raw := []byte("hazard eras store real payloads now")
@@ -107,9 +108,9 @@ func TestByteValuesChurnAllSchemes(t *testing.T) {
 		keyRange = 128
 		ops      = 3000
 	)
-	for name := range factories() {
-		t.Run(name, func(t *testing.T) {
-			l := byteList(t, name)
+	for _, sch := range schemes {
+		t.Run(sch.String(), func(t *testing.T) {
+			l := byteList(t, sch)
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
@@ -156,7 +157,7 @@ func TestByteValuesChurnAllSchemes(t *testing.T) {
 // repeat is a double free the checked arena would only catch one
 // generation later.
 func TestByteValuesFreeGuardExactlyOnce(t *testing.T) {
-	l := byteList(t, "HE")
+	l := byteList(t, smr.HE)
 	freed := make(map[mem.Ref]int)
 	var mu sync.Mutex
 	l.Domain().(interface{ SetFreeGuard(func(mem.Ref)) }).SetFreeGuard(func(ref mem.Ref) {

@@ -424,14 +424,9 @@ func WithByteValues(sizer func(key uint64) int) Option {
 	return func(c *config) { c.byteVals = true; c.valSizer = sizer }
 }
 
-// DomainFactory constructs a reclamation backend over an allocator — e.g.
-// smr.HE.Factory(), or any of the parameterized factories in
-// internal/bench.
-type DomainFactory = smr.Factory
-
 // New builds an empty list whose nodes are reclaimed through the domain
-// produced by mk.
-func New(mk DomainFactory, opts ...Option) *List {
+// produced by mk — e.g. smr.HE.Factory(), or a bench.Scheme's Make.
+func New(mk smr.Factory, opts ...Option) *List {
 	c := config{threads: 64}
 	for _, o := range opts {
 		o(&c)

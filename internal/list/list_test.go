@@ -7,34 +7,15 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
-	"repro/internal/ebr"
-	"repro/internal/hp"
-	"repro/internal/ibr"
-	"repro/internal/leak"
-	"repro/internal/rc"
-	"repro/internal/reclaim"
-	"repro/internal/urcu"
+	"repro/smr"
 )
 
-func factories() map[string]DomainFactory {
-	return map[string]DomainFactory{
-		"HE": func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return core.New(a, c) },
-		"HE-minmax": func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
-			return core.New(a, c, core.WithMinMax(true))
-		},
-		"HP":   func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return hp.New(a, c) },
-		"IBR":  func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return ibr.New(a, c) },
-		"EBR":  func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return ebr.New(a, c) },
-		"URCU": func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return urcu.New(a, c) },
-		"RC":   func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return rc.New(a, c) },
-		"NONE": func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return leak.New(a, c) },
-	}
-}
+// schemes are the registry rows the concurrent tests run.
+var schemes = []smr.Scheme{smr.HE, smr.HEMinMax, smr.HP, smr.IBR, smr.EBR, smr.URCU, smr.RC, smr.None}
 
 func heList(t *testing.T) *List {
 	t.Helper()
-	return New(factories()["HE"], WithChecked(true), WithMaxThreads(16))
+	return New(smr.HE.Factory(), WithChecked(true), WithMaxThreads(16))
 }
 
 func TestEmptyList(t *testing.T) {
@@ -171,7 +152,7 @@ func TestQuickModelEquivalence(t *testing.T) {
 		Key  uint8
 	}
 	prop := func(ops []op) bool {
-		l := New(factories()["HE"], WithChecked(true), WithMaxThreads(2))
+		l := New(smr.HE.Factory(), WithChecked(true), WithMaxThreads(2))
 		h := l.Register()
 		model := map[uint64]uint64{}
 		for _, o := range ops {
@@ -223,8 +204,8 @@ func TestConcurrentChurnAllSchemes(t *testing.T) {
 		iters = 200
 	}
 	const keyRange = 64
-	for name, mk := range factories() {
-		if name == "RC" {
+	for _, sch := range schemes {
+		if sch == smr.RC {
 			// Valois-style reference counting is excluded from the checked
 			// concurrent matrix by design: a deleted list node's next cell
 			// is frozen forever, so a counted acquisition validated against
@@ -236,8 +217,8 @@ func TestConcurrentChurnAllSchemes(t *testing.T) {
 			// conformance stress, where its validation cells are live.
 			continue
 		}
-		t.Run(name, func(t *testing.T) {
-			l := New(mk, WithChecked(true), WithMaxThreads(threads))
+		t.Run(sch.String(), func(t *testing.T) {
+			l := New(sch.Factory(), WithChecked(true), WithMaxThreads(threads))
 			setup := l.Register()
 			for k := uint64(0); k < keyRange; k++ {
 				l.Insert(setup, k, k)
@@ -275,15 +256,15 @@ func TestConcurrentChurnAllSchemes(t *testing.T) {
 				t.Fatal(e)
 			}
 			if f := l.Arena().Stats().Faults; f != 0 {
-				t.Fatalf("%s: %d memory faults (use-after-free!)", name, f)
+				t.Fatalf("%s: %d memory faults (use-after-free!)", sch, f)
 			}
 			// Every removed key was reinserted: full population must remain.
 			if got := l.Len(); got != keyRange {
-				t.Fatalf("%s: Len = %d, want %d", name, got, keyRange)
+				t.Fatalf("%s: Len = %d, want %d", sch, got, keyRange)
 			}
 			l.Drain()
 			if live := l.Arena().Stats().Live; live != 0 {
-				t.Fatalf("%s: leaked %d nodes after drain", name, live)
+				t.Fatalf("%s: leaked %d nodes after drain", sch, live)
 			}
 		})
 	}
@@ -326,9 +307,9 @@ func TestHelpingUnlinkRetiresExactlyOnce(t *testing.T) {
 }
 
 func TestDrainFreesEverything(t *testing.T) {
-	for name, mk := range factories() {
-		t.Run(name, func(t *testing.T) {
-			l := New(mk, WithChecked(true), WithMaxThreads(4))
+	for _, sch := range schemes {
+		t.Run(sch.String(), func(t *testing.T) {
+			l := New(sch.Factory(), WithChecked(true), WithMaxThreads(4))
 			h := l.Register()
 			for k := uint64(0); k < 50; k++ {
 				l.Insert(h, k, k)
@@ -339,7 +320,7 @@ func TestDrainFreesEverything(t *testing.T) {
 			h.Unregister()
 			l.Drain()
 			if st := l.Arena().Stats(); st.Live != 0 {
-				t.Fatalf("%s: leaked %d (%+v)", name, st.Live, st)
+				t.Fatalf("%s: leaked %d (%+v)", sch, st.Live, st)
 			}
 		})
 	}
@@ -353,15 +334,15 @@ func TestInstrumentedTraversalCosts(t *testing.T) {
 		wantLoads      float64
 		wantStoresMax  float64
 		wantStoresMin  float64
-		factory        string
+		factory        smr.Scheme
 		perVisitLoads2 bool
 	}{
-		{name: "HP", factory: "HP"},
-		{name: "HE", factory: "HE"},
+		{name: "HP", factory: smr.HP},
+		{name: "HE", factory: smr.HE},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ins := reclaim.NewInstrument(4)
-			l := New(factories()[tc.factory], WithChecked(true), WithMaxThreads(4), WithInstrument(ins))
+			ins := smr.NewInstrument(4)
+			l := New(tc.factory.Factory(), WithChecked(true), WithMaxThreads(4), WithInstrument(ins))
 			h := l.Register()
 			for k := uint64(0); k < 100; k++ {
 				l.Insert(h, k, k)
@@ -375,14 +356,14 @@ func TestInstrumentedTraversalCosts(t *testing.T) {
 			// nil protect costs one load, and HE's first protect after a
 			// Clear republishes once per operation.
 			switch tc.factory {
-			case "HP":
+			case smr.HP:
 				if ld := s.PerVisitLoads(); ld < 1.9 || ld > 2.1 {
 					t.Fatalf("HP per-node loads = %.2f, want ~2", ld)
 				}
 				if st := s.PerVisitStores(); st < 0.9 || st > 1.0 {
 					t.Fatalf("HP per-node stores = %.2f, want ~1", st)
 				}
-			case "HE":
+			case smr.HE:
 				if ld := s.PerVisitLoads(); ld < 2.0 || ld > 2.2 {
 					t.Fatalf("HE per-node loads = %.2f, want ~2", ld)
 				}
@@ -402,9 +383,7 @@ func FuzzListModel(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{10, 11, 10, 11, 12})
 	f.Fuzz(func(t *testing.T, script []byte) {
-		l := New(func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
-			return core.New(a, c)
-		}, WithChecked(true), WithMaxThreads(2))
+		l := New(smr.HE.Factory(), WithChecked(true), WithMaxThreads(2))
 		h := l.Register()
 		model := map[uint64]uint64{}
 		for i, b := range script {
@@ -445,7 +424,7 @@ func FuzzListModel(f *testing.F) {
 // allocations per Remove+Insert: the helped-off refs collect in a stack
 // buffer that find passes back by value, and nodes come from the arena.
 func TestUpdateAllocatesNothing(t *testing.T) {
-	l := New(factories()["HE"], WithMaxThreads(4))
+	l := New(smr.HE.Factory(), WithMaxThreads(4))
 	g := l.Register()
 	for k := uint64(0); k < 64; k++ {
 		l.Insert(g, k, k)

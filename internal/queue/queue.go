@@ -55,11 +55,8 @@ func WithChecked(on bool) Option { return func(c *config) { c.checked = on } }
 // the registry grows past it on demand.
 func WithMaxThreads(n int) Option { return func(c *config) { c.threads = n } }
 
-// DomainFactory mirrors list.DomainFactory.
-type DomainFactory = smr.Factory
-
 // New builds an empty queue (one dummy node) reclaimed through mk's domain.
-func New(mk DomainFactory, opts ...Option) *Queue {
+func New(mk smr.Factory, opts ...Option) *Queue {
 	c := config{threads: 64}
 	for _, o := range opts {
 		o(&c)

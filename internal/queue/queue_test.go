@@ -6,25 +6,15 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/ebr"
-	"repro/internal/hp"
-	"repro/internal/reclaim"
-	"repro/internal/urcu"
+	"repro/smr"
 )
 
-func factories() map[string]DomainFactory {
-	return map[string]DomainFactory{
-		"HE":   func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return core.New(a, c) },
-		"HP":   func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return hp.New(a, c) },
-		"EBR":  func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return ebr.New(a, c) },
-		"URCU": func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return urcu.New(a, c) },
-	}
-}
+// schemes are the registry rows the concurrent tests run.
+var schemes = []smr.Scheme{smr.HE, smr.HP, smr.EBR, smr.URCU}
 
 func heQueue(t *testing.T) *Queue {
 	t.Helper()
-	return New(factories()["HE"], WithChecked(true), WithMaxThreads(16))
+	return New(smr.HE.Factory(), WithChecked(true), WithMaxThreads(16))
 }
 
 func TestEmptyDequeue(t *testing.T) {
@@ -59,9 +49,9 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestDequeueRetiresDummies(t *testing.T) {
-	q := New(func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain {
-		d := core.New(a, c)
-		d.SetScanThreshold(1) // Algorithm 3: scan on every retire
+	q := New(func(a smr.Allocator, c smr.Config) smr.Backend {
+		d := smr.HE.Factory()(a, c)
+		d.(interface{ SetScanThreshold(int) }).SetScanThreshold(1) // Algorithm 3: scan on every retire
 		return d
 	}, WithChecked(true), WithMaxThreads(16))
 	h := q.Register()
@@ -108,9 +98,9 @@ func TestConcurrentMPMC(t *testing.T) {
 	if testing.Short() {
 		perProducer = 300
 	}
-	for name, mk := range factories() {
-		t.Run(name, func(t *testing.T) {
-			q := New(mk, WithChecked(true), WithMaxThreads(producers+consumers))
+	for _, sch := range schemes {
+		t.Run(sch.String(), func(t *testing.T) {
+			q := New(sch.Factory(), WithChecked(true), WithMaxThreads(producers+consumers))
 			var wg sync.WaitGroup
 			results := make(chan []uint64, consumers)
 			total := producers * perProducer
@@ -159,14 +149,14 @@ func TestConcurrentMPMC(t *testing.T) {
 				perConsumerLast := map[uint64]int64{}
 				for _, v := range got {
 					if seen[v] {
-						t.Fatalf("%s: duplicate value %x", name, v)
+						t.Fatalf("%s: duplicate value %x", sch, v)
 					}
 					seen[v] = true
 					p, i := v>>32, int64(v&0xffffffff)
 					// FIFO per producer per consumer: a consumer must see a
 					// producer's values in increasing order.
 					if last, ok := perConsumerLast[p]; ok && i < last {
-						t.Fatalf("%s: per-producer order violated", name)
+						t.Fatalf("%s: per-producer order violated", sch)
 					}
 					perConsumerLast[p] = i
 					if i > lastPerProducer[p] {
@@ -175,14 +165,14 @@ func TestConcurrentMPMC(t *testing.T) {
 				}
 			}
 			if len(seen) != total {
-				t.Fatalf("%s: consumed %d values, want %d", name, len(seen), total)
+				t.Fatalf("%s: consumed %d values, want %d", sch, len(seen), total)
 			}
 			if f := q.Arena().Stats().Faults; f != 0 {
-				t.Fatalf("%s: %d memory faults", name, f)
+				t.Fatalf("%s: %d memory faults", sch, f)
 			}
 			q.Drain()
 			if live := q.Arena().Stats().Live; live != 0 {
-				t.Fatalf("%s: leaked %d nodes", name, live)
+				t.Fatalf("%s: leaked %d nodes", sch, live)
 			}
 		})
 	}

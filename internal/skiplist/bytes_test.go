@@ -8,18 +8,19 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/payload"
+	"repro/smr"
 )
 
 // testSizer spreads payloads across the ladder: 8B..~1KB depending on key.
 func testSizer(key uint64) int { return int(key*53%1024) + 1 }
 
-func byteSkip(t *testing.T, name string) *SkipList {
+func byteSkip(t *testing.T, sch smr.Scheme) *SkipList {
 	t.Helper()
-	return New(factories()[name], WithChecked(true), WithMaxThreads(8), WithByteValues(testSizer))
+	return New(sch.Factory(), WithChecked(true), WithMaxThreads(8), WithByteValues(testSizer))
 }
 
 func TestByteValuesRoundTrip(t *testing.T) {
-	s := byteSkip(t, "HE")
+	s := byteSkip(t, smr.HE)
 	h := s.Register()
 
 	for key := uint64(0); key < 200; key++ {
@@ -63,7 +64,7 @@ func TestByteValuesRoundTrip(t *testing.T) {
 // TestByteValuesRangeDecodes pins that Range reports decoded payload
 // values in byte mode, in order, under continuous protection.
 func TestByteValuesRangeDecodes(t *testing.T) {
-	s := byteSkip(t, "HE")
+	s := byteSkip(t, smr.HE)
 	h := s.Register()
 	for key := uint64(10); key < 60; key++ {
 		s.Insert(h, key, key*11)
@@ -95,9 +96,9 @@ func TestByteValuesChurnConcurrent(t *testing.T) {
 		keyRange = 128
 		ops      = 2000
 	)
-	for _, name := range []string{"HE", "HP", "EBR", "URCU"} {
-		t.Run(name, func(t *testing.T) {
-			s := byteSkip(t, name)
+	for _, sch := range schemes {
+		t.Run(sch.String(), func(t *testing.T) {
+			s := byteSkip(t, sch)
 			freed := make(map[mem.Ref]int)
 			var mu sync.Mutex
 			s.Domain().(interface{ SetFreeGuard(func(mem.Ref)) }).SetFreeGuard(func(ref mem.Ref) {

@@ -1,19 +1,22 @@
 // Package skiplist implements a concurrent skip list — the ordered-map
 // workload of K. Fraser's "Practical lock-freedom" (the Hazard Eras paper's
-// reference [10] and the origin of epoch-based reclamation), here used as a
-// further client of the reclaim.Domain interface: multi-level traversals
-// protect one node at a time with the same three rotating slots as the
-// Harris-Michael list, plus ordered range scans that hold protections for
-// the whole scan.
+// reference [10] and the origin of epoch-based reclamation). Like
+// internal/list, it is written entirely against the public smr API:
+// multi-level traversals protect one node at a time with the same three
+// rotating slots as the Harris-Michael list, plus ordered range scans that
+// hold protections for the whole scan. Get and Range share one protected
+// descent.
 //
 // Concurrency model (same as internal/bst, documented in DESIGN.md):
 // readers (Get/Contains/Range) are lock-free and fully protected through
 // the reclamation domain; writers (Insert/Remove) are serialized by a mutex
-// and retire replaced nodes through the domain. Insert links bottom-up so a
-// node appears atomically at level 0 (its linearization point); Remove
-// unlinks top-down and retires only after the node is off every level, so
-// the reader-side validation invariant holds: a node reachable from a
-// validated edge has not been retired.
+// and retire replaced nodes through the domain. Writers walk with
+// Atomic.Peek and Domain.DerefQuiescent: the mutex serializes every
+// retirer, so nothing a writer reaches can be reclaimed under it. Insert
+// links bottom-up so a node appears atomically at level 0 (its
+// linearization point); Remove unlinks top-down and retires only after the
+// node is off every level, so the reader-side validation invariant holds:
+// a node reachable from a validated edge has not been retired.
 //
 // Reader validation protocol per step: Remove first MARKS every level cell
 // of the victim's tower (the Harris mark bit) and only then unlinks it, so
@@ -26,11 +29,7 @@ package skiplist
 
 import (
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/mem"
-	"repro/internal/payload"
-	"repro/internal/reclaim"
 	"repro/smr"
 )
 
@@ -43,35 +42,30 @@ const MaxLevel = 16
 const Slots = 3
 
 // Node is a skip-list tower. Key, Val and Level are immutable after
-// publication; Next[l] for l < Level are the per-level successor refs. Val
-// is atomic because in byte-value mode it names a size-class payload block
-// that readers protect through it.
+// publication; Next[l] for l < Level are the per-level successor links. Val
+// is an atomic value cell because in byte-value mode it names a size-class
+// payload block that readers protect through it.
 type Node struct {
 	Key   uint64
-	Val   atomic.Uint64
+	Val   smr.AtomicBytes
 	Level int
-	Next  [MaxLevel]atomic.Uint64
+	Next  [MaxLevel]smr.Atomic[Node]
 }
 
 // PoisonNode smashes a freed node.
 func PoisonNode(n *Node) {
 	n.Key = 0xDEADDEADDEADDEAD
-	bad := uint64(mem.MakeRef(mem.MaxIndex, 0))
-	n.Val.Store(bad)
+	n.Val.Store(smr.BytesOf(smr.InvalidRef()))
 	for l := range n.Next {
-		n.Next[l].Store(bad)
+		n.Next[l].Store(smr.PtrOf[Node](smr.InvalidRef()))
 	}
 }
 
-// DomainFactory mirrors list.DomainFactory.
-type DomainFactory = smr.Factory
-
 // SkipList is the concurrent ordered map.
 type SkipList struct {
-	arena *mem.Arena[Node]
-	dom   reclaim.Domain
+	d *smr.Domain[Node]
 	// heads[l] is the static level-l list head (needs no protection).
-	heads [MaxLevel]atomic.Uint64
+	heads [MaxLevel]smr.Atomic[Node]
 	mu    sync.Mutex // serializes writers; readers never take it
 	rng   uint64     // level generator state, guarded by mu
 	size  int        // guarded by mu
@@ -109,34 +103,33 @@ func WithByteValues(sizer func(key uint64) int) Option {
 }
 
 // New builds an empty skip list reclaimed through mk's domain.
-func New(mk DomainFactory, opts ...Option) *SkipList {
+func New(mk smr.Factory, opts ...Option) *SkipList {
 	c := config{threads: 64, seed: 1}
 	for _, o := range opts {
 		o(&c)
 	}
-	arenaOpts := []mem.Option[Node]{mem.WithShards[Node](c.threads)}
+	var arenaOpts []smr.ArenaOption[Node]
 	if c.checked {
-		arenaOpts = append(arenaOpts, mem.Checked[Node](true), mem.WithPoison[Node](PoisonNode))
+		arenaOpts = append(arenaOpts, smr.Checked[Node](true), smr.WithPoison(PoisonNode))
 	}
 	if c.byteVals {
-		arenaOpts = append(arenaOpts, mem.WithByteClasses[Node]())
+		arenaOpts = append(arenaOpts, smr.WithByteValues[Node]())
 	}
-	arena := mem.NewArena[Node](arenaOpts...)
-	dom := mk(arena, reclaim.Config{MaxThreads: c.threads, Slots: Slots})
-	return &SkipList{arena: arena, dom: dom, rng: c.seed | 1, byteVals: c.byteVals, valSizer: c.valSizer}
+	d := smr.NewWith[Node](mk, smr.Config{MaxThreads: c.threads, Slots: Slots}, arenaOpts...)
+	return &SkipList{d: d, rng: c.seed | 1, byteVals: c.byteVals, valSizer: c.valSizer}
 }
 
-// Domain exposes the reclamation domain.
-func (s *SkipList) Domain() reclaim.Domain { return s.dom }
+// Domain exposes the scheme-level backend for generic drivers.
+func (s *SkipList) Domain() smr.Backend { return s.d.Backend() }
 
 // Arena exposes the node arena.
-func (s *SkipList) Arena() *mem.Arena[Node] { return s.arena }
+func (s *SkipList) Arena() *smr.Arena[Node] { return s.d.Arena() }
 
 // Register opens a session on the skip list's domain.
-func (s *SkipList) Register() *smr.Guard { return smr.Adopt(s.dom.Register()) }
+func (s *SkipList) Register() *smr.Guard { return s.d.Register() }
 
 // Acquire returns a pooled session on the skip list's domain.
-func (s *SkipList) Acquire() *smr.Guard { return smr.Adopt(s.dom.Acquire()) }
+func (s *SkipList) Acquire() *smr.Guard { return s.d.Acquire() }
 
 // randomLevel draws a geometric(1/2) tower height in [1, MaxLevel].
 // Called under mu.
@@ -159,15 +152,21 @@ func (s *SkipList) randomLevel() int {
 // prev/curr/next with three rotating slots and validates the incoming edge
 // of prev after every successor protection.
 func (s *SkipList) Get(g *smr.Guard, key uint64) (uint64, bool) {
-	v, _, ok := s.get(g.Handle(), key, readVal)
+	v, _, ok := s.get(g, key, readVal)
 	return v, ok
 }
 
 // GetBytes returns a copy of key's payload block (byte-value mode only);
 // the copy is taken while the payload is still protected.
 func (s *SkipList) GetBytes(g *smr.Guard, key uint64) ([]byte, bool) {
-	_, buf, ok := s.get(g.Handle(), key, readCopy)
+	_, buf, ok := s.get(g, key, readCopy)
 	return buf, ok
+}
+
+// Contains reports membership of key.
+func (s *SkipList) Contains(g *smr.Guard, key uint64) bool {
+	_, _, ok := s.get(g, key, readNone)
+	return ok
 }
 
 // get read modes: membership only, decoded value word, payload copy.
@@ -177,27 +176,30 @@ const (
 	readCopy
 )
 
-func (s *SkipList) get(h *reclaim.Handle, key uint64, mode int) (val uint64, buf []byte, ok bool) {
-	arena := s.arena
-	h.BeginOp()
-	defer h.EndOp()
+// descend is the protected descent Get and Range share. Inside g's open
+// operation window it returns the first level-0 node with key >= key (nil
+// at the end of the list), protected at slot sc, and the level-0 cell it
+// was loaded from; slot sn is free. A marked load or a changed edge on the
+// way restarts the descent from the top.
+func (s *SkipList) descend(g *smr.Guard, key uint64) (cell *smr.Atomic[Node], curr smr.Ptr[Node], sc, sn int) {
+	d := s.d
 retry:
 	for {
-		sc, sn := 1, 2
+		sc, sn = 1, 2
 		level := MaxLevel - 1
-		var prev *Node           // owner of cell; nil while prev is the static head
-		var pEdge *atomic.Uint64 // incoming edge of prev (nil for the head)
-		var pExpect uint64
-		cell := &s.heads[level]
-		curr := h.Protect(sc, cell) // head cells are never marked
+		var prev *Node              // owner of cell; nil while prev is the static head
+		var pEdge *smr.Atomic[Node] // incoming edge of prev (nil for the head)
+		var pExpect smr.Ptr[Node]   // what pEdge held when prev was adopted
+		cell = &s.heads[level]
+		curr = cell.Load(g, sc) // head cells are never marked
 		for {
 			// Advance horizontally while curr.Key < key.
 			for !curr.IsNil() {
-				cn := arena.Get(curr)
+				cn := d.Deref(g, curr)
 				if cn.Key >= key {
 					break
 				}
-				next := h.Protect(sn, &cn.Next[level])
+				next := cn.Next[level].Load(g, sn)
 				// A marked load means curr's tower is being (or has been)
 				// deleted: its cells will never change again, so only the
 				// mark reveals the staleness.
@@ -206,10 +208,10 @@ retry:
 				}
 				// curr must still be linked where we found it, which also
 				// proves cn.Next was current when next was protected.
-				if cell.Load() != uint64(curr) {
+				if cell.Peek() != curr {
 					continue retry
 				}
-				pEdge, pExpect = cell, uint64(curr)
+				pEdge, pExpect = cell, curr
 				prev = cn
 				cell = &cn.Next[level]
 				curr = next
@@ -221,35 +223,7 @@ retry:
 				sc, sn = sn, 3-sc-sn
 			}
 			if level == 0 {
-				if curr.IsNil() {
-					return 0, nil, false
-				}
-				cn := arena.Get(curr)
-				if cn.Key != key {
-					return 0, nil, false
-				}
-				if mode == readNone {
-					return 0, nil, true
-				}
-				if !s.byteVals {
-					return cn.Val.Load(), nil, true
-				}
-				// Byte mode: the payload is a separate block that Remove
-				// retires, so it needs its own protection. Slot sn is dead
-				// here (the traversal is over), so publish there, then
-				// re-check the level-0 cell is still unmarked: unmarked
-				// after the publish means the tower mark — which precedes
-				// the payload's retirement — had not yet happened, so the
-				// retirer's scan is obligated to honor this hold.
-				pRef := h.Protect(sn, &cn.Val)
-				if mem.Ref(cn.Next[0].Load()).Marked() {
-					continue retry
-				}
-				p := arena.Bytes(pRef)
-				if mode == readCopy {
-					buf = append([]byte(nil), p...)
-				}
-				return payload.Decode(p), buf, true
+				return cell, curr, sc, sn
 			}
 			// Descend at prev: same owner, one level down. prev stays
 			// protected at its slot; its incoming edge is re-validated
@@ -260,41 +234,74 @@ retry:
 			} else {
 				cell = &prev.Next[level]
 			}
-			curr = h.Protect(sc, cell)
+			curr = cell.Load(g, sc)
 			if curr.Marked() {
 				continue retry // prev's tower is being deleted
 			}
-			if pEdge != nil && pEdge.Load() != pExpect {
+			if pEdge != nil && pEdge.Peek() != pExpect {
 				continue retry
 			}
 		}
 	}
 }
 
-// Contains reports membership of key.
-func (s *SkipList) Contains(g *smr.Guard, key uint64) bool {
-	_, _, ok := s.get(g.Handle(), key, readNone)
-	return ok
+func (s *SkipList) get(g *smr.Guard, key uint64, mode int) (val uint64, buf []byte, ok bool) {
+	d := s.d
+	g.BeginOp()
+	defer g.EndOp()
+	for {
+		_, curr, _, sn := s.descend(g, key)
+		if curr.IsNil() {
+			return 0, nil, false
+		}
+		cn := d.Deref(g, curr)
+		if cn.Key != key {
+			return 0, nil, false
+		}
+		if mode == readNone {
+			return 0, nil, true
+		}
+		if !s.byteVals {
+			return cn.Val.LoadWord(), nil, true
+		}
+		// Byte mode: the payload is a separate block that Remove retires,
+		// so it needs its own protection. Slot sn is dead here (the
+		// traversal is over), so publish there, then re-check the level-0
+		// cell is still unmarked: unmarked after the publish means the
+		// tower mark — which precedes the payload's retirement — had not
+		// yet happened, so the retirer's scan is obligated to honor this
+		// hold.
+		pRef := cn.Val.Load(g, sn)
+		if cn.Next[0].Peek().Marked() {
+			continue
+		}
+		p := d.DerefBytes(g, pRef)
+		if mode == readCopy {
+			buf = append([]byte(nil), p...)
+		}
+		return smr.DecodePayload(p), buf, true
+	}
 }
 
 // findPreds locates, for every level, the last node with key < key.
-// Writer-only (called under mu): writers are the only retirers, so their
-// plain traversals never see freed nodes.
-func (s *SkipList) findPreds(key uint64) (preds [MaxLevel]*atomic.Uint64, found mem.Ref) {
+// Writer-only (called under mu): writers are the only retirers, so the
+// writer lock counts as quiescence and their Peek traversals never see
+// freed nodes.
+func (s *SkipList) findPreds(key uint64) (preds [MaxLevel]*smr.Atomic[Node], found smr.Ptr[Node]) {
 	var prev *Node
 	for level := MaxLevel - 1; level >= 0; level-- {
-		var cell *atomic.Uint64
+		var cell *smr.Atomic[Node]
 		if prev == nil {
 			cell = &s.heads[level]
 		} else {
 			cell = &prev.Next[level]
 		}
 		for {
-			curr := mem.Ref(cell.Load())
+			curr := cell.Peek()
 			if curr.IsNil() {
 				break
 			}
-			cn := s.arena.Get(curr)
+			cn := s.d.DerefQuiescent(curr)
 			if cn.Key >= key {
 				if cn.Key == key && level == 0 {
 					found = curr
@@ -315,16 +322,17 @@ func (s *SkipList) findPreds(key uint64) (preds [MaxLevel]*atomic.Uint64, found 
 // not yet taken by readers. In byte-value mode the value is materialized
 // as a valSizer(key)-byte payload block.
 func (s *SkipList) Insert(g *smr.Guard, key, val uint64) bool {
-	return s.insert(g.Handle(), key, val, nil)
+	return s.insert(g, key, val, nil)
 }
 
 // InsertBytes adds key->raw, storing a copy of raw as the payload block.
 // Byte-value mode only; the arena faults otherwise.
 func (s *SkipList) InsertBytes(g *smr.Guard, key uint64, raw []byte) bool {
-	return s.insert(g.Handle(), key, 0, raw)
+	return s.insert(g, key, 0, raw)
 }
 
-func (s *SkipList) insert(h *reclaim.Handle, key, val uint64, raw []byte) bool {
+func (s *SkipList) insert(g *smr.Guard, key, val uint64, raw []byte) bool {
+	d := s.d
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	preds, found := s.findPreds(key)
@@ -332,32 +340,32 @@ func (s *SkipList) insert(h *reclaim.Handle, key, val uint64, raw []byte) bool {
 		return false
 	}
 	level := s.randomLevel()
-	ref, n := s.arena.AllocAt(h.ID())
+	ref, n := d.Alloc(g)
 	n.Key, n.Level = key, level
-	var pRef mem.Ref
+	var b smr.Bytes
 	if s.byteVals || raw != nil {
 		if raw != nil {
-			pRef = s.arena.PutBytesAt(h.ID(), raw)
+			b = d.PutBytes(g, raw)
 		} else {
 			var p []byte
-			pRef, p = s.arena.AllocBytesAt(h.ID(), payload.SizeFor(s.valSizer, key))
-			payload.Encode(p, val)
+			b, p = d.AllocBytes(g, smr.PayloadSize(s.valSizer, key))
+			smr.EncodePayload(p, val)
 		}
-		n.Val.Store(uint64(pRef))
+		n.Val.Store(b)
 	} else {
-		n.Val.Store(val)
+		n.Val.StoreWord(val)
 	}
 	for l := 0; l < level; l++ {
-		n.Next[l].Store(preds[l].Load())
+		n.Next[l].Store(preds[l].Peek())
 	}
 	// Birth stamps before the node (and through it, the payload) becomes
 	// visible.
-	if !pRef.IsNil() {
-		s.dom.OnAlloc(pRef)
+	if !b.IsNil() {
+		d.Publish(b.Ref())
 	}
-	s.dom.OnAlloc(ref)
+	d.Publish(ref.Ref())
 	for l := 0; l < level; l++ {
-		preds[l].Store(uint64(ref))
+		preds[l].Store(ref)
 	}
 	s.size++
 	return true
@@ -368,31 +376,30 @@ func (s *SkipList) insert(h *reclaim.Handle, key, val uint64, raw []byte) bool {
 // is retired only once it is unreachable from every level, which is the
 // precondition the reader-side validation relies on.
 func (s *SkipList) Remove(g *smr.Guard, key uint64) bool {
-	h := g.Handle()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	preds, found := s.findPreds(key)
 	if found.IsNil() {
 		return false
 	}
-	n := s.arena.Get(found)
+	n := s.d.DerefQuiescent(found)
 	// Phase 1: mark every level cell of the tower. From this point any
 	// reader that loads through the dying node sees the mark and restarts.
 	for l := n.Level - 1; l >= 0; l-- {
-		n.Next[l].Store(uint64(mem.Ref(n.Next[l].Load()).WithMark()))
+		n.Next[l].Store(n.Next[l].Peek().WithMark())
 	}
 	// Phase 2: unlink top-down; level 0 is the linearization point.
 	for l := n.Level - 1; l >= 0; l-- {
-		if mem.Ref(preds[l].Load()) == found {
-			preds[l].Store(uint64(mem.Ref(n.Next[l].Load()).Unmarked()))
+		if preds[l].Peek() == found {
+			preds[l].Store(n.Next[l].Peek().Unmarked())
 		}
 	}
 	// Payload before node: the ref must be read before the node can be
 	// freed, and retiring it first keeps the free order payload-then-node.
 	if s.byteVals {
-		h.Retire(mem.Ref(n.Val.Load()))
+		g.Retire(n.Val.Peek().Ref())
 	}
-	h.Retire(found)
+	g.Retire(found.Ref())
 	s.size--
 	return true
 }
@@ -404,16 +411,14 @@ func (s *SkipList) Remove(g *smr.Guard, key uint64) bool {
 // the scan from the current key (elements already reported are not
 // repeated — the cursor key only moves forward).
 func (s *SkipList) Range(g *smr.Guard, from, to uint64, fn func(key, val uint64) bool) int {
-	h := g.Handle()
-	arena := s.arena
 	count := 0
 	cursor := from
 	for cursor < to {
 		// Locate the first key >= cursor with a protected descent, then
 		// walk level 0 until invalidated.
-		h.BeginOp()
-		visited, next, again := s.rangeSegment(h, cursor, to, fn, arena)
-		h.EndOp()
+		g.BeginOp()
+		visited, next, again := s.rangeSegment(g, cursor, to, fn)
+		g.EndOp()
 		count += visited
 		if !again {
 			return count
@@ -426,93 +431,46 @@ func (s *SkipList) Range(g *smr.Guard, from, to uint64, fn func(key, val uint64)
 // rangeSegment scans level 0 from the first key >= cursor, reporting
 // elements < to. It returns how many were reported, the key to resume from
 // after an invalidation, and whether the scan must continue.
-func (s *SkipList) rangeSegment(h *reclaim.Handle, cursor, to uint64, fn func(key, val uint64) bool, arena *mem.Arena[Node]) (int, uint64, bool) {
-retry:
-	for {
-		// Protected descent to the first candidate at level 0 (same
-		// protocol as Get, stopping at cursor).
-		sc, sn := 1, 2
-		level := MaxLevel - 1
-		var prev *Node
-		var pEdge *atomic.Uint64
-		var pExpect uint64
-		cell := &s.heads[level]
-		curr := h.Protect(sc, cell)
-		for {
-			for !curr.IsNil() {
-				cn := arena.Get(curr)
-				if cn.Key >= cursor {
-					break
-				}
-				next := h.Protect(sn, &cn.Next[level])
-				if next.Marked() {
-					continue retry
-				}
-				if cell.Load() != uint64(curr) {
-					continue retry
-				}
-				pEdge, pExpect = cell, uint64(curr)
-				prev = cn
-				cell = &cn.Next[level]
-				curr = next
-				sc, sn = sn, 3-sc-sn
-			}
-			if level == 0 {
-				break
-			}
-			level--
-			if prev == nil {
-				cell = &s.heads[level]
-			} else {
-				cell = &prev.Next[level]
-			}
-			curr = h.Protect(sc, cell)
-			if curr.Marked() {
-				continue retry
-			}
-			if pEdge != nil && pEdge.Load() != pExpect {
-				continue retry
-			}
+func (s *SkipList) rangeSegment(g *smr.Guard, cursor, to uint64, fn func(key, val uint64) bool) (int, uint64, bool) {
+	d := s.d
+	cell, curr, sc, sn := s.descend(g, cursor)
+	// Walk level 0 reporting elements until to, an invalidation, or the
+	// end of the list.
+	count := 0
+	for !curr.IsNil() {
+		cn := d.Deref(g, curr)
+		if cn.Key >= to {
+			return count, to, false
 		}
-		// Walk level 0 reporting elements until to, an invalidation, or
-		// the end of the list.
-		count := 0
-		for !curr.IsNil() {
-			cn := arena.Get(curr)
-			if cn.Key >= to {
-				return count, to, false
+		val := uint64(0)
+		if s.byteVals {
+			// Protect the payload at sn — dead at this point; it is
+			// re-targeted at cn.Next[0] right after the report. A mark
+			// seen after the publish means the payload may already be
+			// retired: resume at cn.Key itself (not reported yet).
+			pRef := cn.Val.Load(g, sn)
+			if cn.Next[0].Peek().Marked() {
+				return count, cn.Key, true
 			}
-			val := uint64(0)
-			if s.byteVals {
-				// Protect the payload at sn — dead at this point; it is
-				// re-targeted at cn.Next[0] right after the report. A mark
-				// seen after the publish means the payload may already be
-				// retired: resume at cn.Key itself (not reported yet).
-				pRef := h.Protect(sn, &cn.Val)
-				if mem.Ref(cn.Next[0].Load()).Marked() {
-					return count, cn.Key, true
-				}
-				val = payload.Decode(arena.Bytes(pRef))
-			} else {
-				val = cn.Val.Load()
-			}
-			if !fn(cn.Key, val) {
-				return count, to, false
-			}
-			count++
-			resume := cn.Key + 1
-			next := h.Protect(sn, &cn.Next[0])
-			if next.Marked() || cell.Load() != uint64(curr) {
-				// Invalidated mid-scan: resume past the last reported key.
-				return count, resume, true
-			}
-			prev = cn
-			cell = &cn.Next[0]
-			curr = next
-			sc, sn = sn, 3-sc-sn
+			val = smr.DecodePayload(d.DerefBytes(g, pRef))
+		} else {
+			val = cn.Val.LoadWord()
 		}
-		return count, to, false
+		if !fn(cn.Key, val) {
+			return count, to, false
+		}
+		count++
+		resume := cn.Key + 1
+		next := cn.Next[0].Load(g, sn)
+		if next.Marked() || cell.Peek() != curr {
+			// Invalidated mid-scan: resume past the last reported key.
+			return count, resume, true
+		}
+		cell = &cn.Next[0]
+		curr = next
+		sc, sn = sn, 3-sc-sn
 	}
+	return count, to, false
 }
 
 // Len reports the element count; writers maintain it under mu.
@@ -528,27 +486,27 @@ func (s *SkipList) LevelOf(key uint64) int {
 	if found.IsNil() {
 		return 0
 	}
-	return s.arena.Get(found).Level
+	return s.d.DerefQuiescent(found).Level
 }
 
 // Drain tears the structure down at quiescence.
 func (s *SkipList) Drain() {
-	ref := mem.Ref(s.heads[0].Load())
+	p := s.heads[0].Peek()
 	for l := range s.heads {
-		s.heads[l].Store(0)
+		s.heads[l].Store(smr.Ptr[Node]{})
 	}
-	for !ref.IsNil() {
-		n := s.arena.Get(ref)
-		next := mem.Ref(n.Next[0].Load()).Unmarked()
+	for !p.IsNil() {
+		n := s.d.DerefQuiescent(p)
+		next := n.Next[0].Peek().Unmarked()
 		if s.byteVals {
 			// Linked towers are never marked (Remove unlinks under mu), so
 			// every linked node still owns its payload.
-			if pRef := mem.Ref(n.Val.Load()); !pRef.IsNil() {
-				s.arena.Free(pRef)
+			if b := n.Val.Peek(); !b.IsNil() {
+				s.d.Drop(b.Ref())
 			}
 		}
-		s.arena.Free(ref)
-		ref = next
+		s.d.Drop(p.Ref())
+		p = next
 	}
-	s.dom.Drain()
+	s.d.Drain()
 }

@@ -8,25 +8,15 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
-	"repro/internal/ebr"
-	"repro/internal/hp"
-	"repro/internal/reclaim"
-	"repro/internal/urcu"
+	"repro/smr"
 )
 
-func factories() map[string]DomainFactory {
-	return map[string]DomainFactory{
-		"HE":   func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return core.New(a, c) },
-		"HP":   func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return hp.New(a, c) },
-		"EBR":  func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return ebr.New(a, c) },
-		"URCU": func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return urcu.New(a, c) },
-	}
-}
+// schemes are the registry rows the concurrent tests run.
+var schemes = []smr.Scheme{smr.HE, smr.HP, smr.EBR, smr.URCU}
 
 func heList(t *testing.T) *SkipList {
 	t.Helper()
-	return New(factories()["HE"], WithChecked(true), WithMaxThreads(16))
+	return New(smr.HE.Factory(), WithChecked(true), WithMaxThreads(16))
 }
 
 func TestEmpty(t *testing.T) {
@@ -163,7 +153,7 @@ func TestQuickModelEquivalence(t *testing.T) {
 		Key  uint8
 	}
 	prop := func(ops []op) bool {
-		s := New(factories()["HE"], WithChecked(true), WithMaxThreads(2))
+		s := New(smr.HE.Factory(), WithChecked(true), WithMaxThreads(2))
 		h := s.Register()
 		model := map[uint64]uint64{}
 		for _, o := range ops {
@@ -224,9 +214,9 @@ func TestConcurrentReadersWithChurningWriter(t *testing.T) {
 		iters = 100
 	}
 	const keyRange = 256
-	for name, mk := range factories() {
-		t.Run(name, func(t *testing.T) {
-			s := New(mk, WithChecked(true), WithMaxThreads(10))
+	for _, sch := range schemes {
+		t.Run(sch.String(), func(t *testing.T) {
+			s := New(sch.Factory(), WithChecked(true), WithMaxThreads(10))
 			setup := s.Register()
 			for k := uint64(0); k < keyRange; k++ {
 				s.Insert(setup, k, k)
@@ -268,14 +258,14 @@ func TestConcurrentReadersWithChurningWriter(t *testing.T) {
 			}()
 			wg.Wait()
 			if f := s.Arena().Stats().Faults; f != 0 {
-				t.Fatalf("%s: %d memory faults", name, f)
+				t.Fatalf("%s: %d memory faults", sch, f)
 			}
 			if got := s.Len(); got != keyRange {
-				t.Fatalf("%s: Len = %d, want %d", name, got, keyRange)
+				t.Fatalf("%s: Len = %d, want %d", sch, got, keyRange)
 			}
 			s.Drain()
 			if live := s.Arena().Stats().Live; live != 0 {
-				t.Fatalf("%s: leaked %d nodes", name, live)
+				t.Fatalf("%s: leaked %d nodes", sch, live)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 // Package stack implements the Treiber lock-free stack (R. K. Treiber,
 // 1986) with pointer-based reclamation — the minimal workload for an SMR
-// scheme: a single protection slot, one hot CAS target.
+// scheme: a single protection slot, one hot CAS target. Like
+// internal/list, it is written entirely against the public smr API.
 //
 // The stack is also where this repository's simulated-memory substrate
 // shows the classic ABA failure mode most directly: in C++, popping A,
@@ -12,10 +13,6 @@
 package stack
 
 import (
-	"sync/atomic"
-
-	"repro/internal/mem"
-	"repro/internal/reclaim"
 	"repro/internal/schedtest"
 	"repro/smr"
 )
@@ -26,20 +23,19 @@ const Slots = 1
 // Node is a stack cell.
 type Node struct {
 	Val  uint64
-	Next atomic.Uint64
+	Next smr.Atomic[Node]
 }
 
 // PoisonNode smashes a freed node for use-after-free visibility.
 func PoisonNode(n *Node) {
 	n.Val = 0xDEADDEADDEADDEAD
-	n.Next.Store(uint64(mem.MakeRef(mem.MaxIndex, 0)))
+	n.Next.Store(smr.PtrOf[Node](smr.InvalidRef()))
 }
 
 // Stack is a lock-free LIFO.
 type Stack struct {
-	arena *mem.Arena[Node]
-	dom   reclaim.Domain
-	top   atomic.Uint64
+	d   *smr.Domain[Node]
+	top smr.Atomic[Node]
 }
 
 // Option configures a Stack.
@@ -57,47 +53,41 @@ func WithChecked(on bool) Option { return func(c *config) { c.checked = on } }
 // the registry grows past it on demand.
 func WithMaxThreads(n int) Option { return func(c *config) { c.threads = n } }
 
-// DomainFactory mirrors list.DomainFactory.
-type DomainFactory = smr.Factory
-
 // New builds an empty stack reclaimed through mk's domain.
-func New(mk DomainFactory, opts ...Option) *Stack {
+func New(mk smr.Factory, opts ...Option) *Stack {
 	c := config{threads: 64}
 	for _, o := range opts {
 		o(&c)
 	}
-	arenaOpts := []mem.Option[Node]{mem.WithShards[Node](c.threads)}
+	var arenaOpts []smr.ArenaOption[Node]
 	if c.checked {
-		arenaOpts = append(arenaOpts, mem.Checked[Node](true), mem.WithPoison[Node](PoisonNode))
+		arenaOpts = append(arenaOpts, smr.Checked[Node](true), smr.WithPoison(PoisonNode))
 	}
-	arena := mem.NewArena[Node](arenaOpts...)
-	dom := mk(arena, reclaim.Config{MaxThreads: c.threads, Slots: Slots})
-	return &Stack{arena: arena, dom: dom}
+	return &Stack{d: smr.NewWith[Node](mk, smr.Config{MaxThreads: c.threads, Slots: Slots}, arenaOpts...)}
 }
 
-// Domain exposes the reclamation domain.
-func (s *Stack) Domain() reclaim.Domain { return s.dom }
+// Domain exposes the scheme-level backend for generic drivers.
+func (s *Stack) Domain() smr.Backend { return s.d.Backend() }
 
 // Arena exposes the node arena.
-func (s *Stack) Arena() *mem.Arena[Node] { return s.arena }
+func (s *Stack) Arena() *smr.Arena[Node] { return s.d.Arena() }
 
 // Register opens a session on the stack's domain.
-func (s *Stack) Register() *smr.Guard { return smr.Adopt(s.dom.Register()) }
+func (s *Stack) Register() *smr.Guard { return s.d.Register() }
 
 // Acquire returns a pooled session on the stack's domain.
-func (s *Stack) Acquire() *smr.Guard { return smr.Adopt(s.dom.Acquire()) }
+func (s *Stack) Acquire() *smr.Guard { return s.d.Acquire() }
 
 // Push adds v on top. Lock-free.
 func (s *Stack) Push(g *smr.Guard, v uint64) {
-	h := g.Handle()
-	ref, n := s.arena.AllocAt(h.ID())
+	ref, n := s.d.Alloc(g)
 	n.Val = v
 	for {
-		top := s.top.Load()
+		top := s.top.Peek()
 		n.Next.Store(top)
-		s.dom.OnAlloc(ref) // birth stamp immediately before publication
+		s.d.Publish(ref.Ref()) // birth stamp immediately before publication
 		schedtest.Point(schedtest.PointCAS)
-		if s.top.CompareAndSwap(top, uint64(ref)) {
+		if s.top.CompareAndSwap(top, ref) {
 			return
 		}
 	}
@@ -105,48 +95,46 @@ func (s *Stack) Push(g *smr.Guard, v uint64) {
 
 // Pop removes and returns the top value; ok is false on empty.
 func (s *Stack) Pop(g *smr.Guard) (v uint64, ok bool) {
-	h := g.Handle()
-	h.BeginOp()
-	var victim mem.Ref
+	g.BeginOp()
+	var victim smr.Ptr[Node]
 	for {
-		topRef := h.Protect(0, &s.top)
-		if topRef.IsNil() {
-			h.EndOp()
+		top := s.top.Load(g, 0)
+		if top.IsNil() {
+			g.EndOp()
 			return 0, false
 		}
-		n := s.arena.Get(topRef)
-		next := n.Next.Load()
+		n := s.d.Deref(g, top)
+		next := n.Next.Peek()
 		val := n.Val // protected: safe even if the CAS below fails
 		schedtest.Point(schedtest.PointCAS)
-		if s.top.CompareAndSwap(uint64(topRef), next) {
+		if s.top.CompareAndSwap(top, next) {
 			v, ok = val, true
-			victim = topRef
+			victim = top
 			break
 		}
 	}
-	h.EndOp()
-	h.Retire(victim)
+	g.EndOp()
+	g.Retire(victim.Ref())
 	return v, ok
 }
 
 // Len counts elements; quiescent use only.
 func (s *Stack) Len() int {
 	n := 0
-	for ref := mem.Ref(s.top.Load()); !ref.IsNil(); {
+	for p := s.top.Peek(); !p.IsNil(); p = s.d.DerefQuiescent(p).Next.Peek() {
 		n++
-		ref = mem.Ref(s.arena.Get(ref).Next.Load())
 	}
 	return n
 }
 
 // Drain tears the stack down at quiescence.
 func (s *Stack) Drain() {
-	ref := mem.Ref(s.top.Load())
-	s.top.Store(0)
-	for !ref.IsNil() {
-		next := mem.Ref(s.arena.Get(ref).Next.Load())
-		s.arena.Free(ref)
-		ref = next
+	p := s.top.Peek()
+	s.top.Store(smr.Ptr[Node]{})
+	for !p.IsNil() {
+		next := s.d.DerefQuiescent(p).Next.Peek()
+		s.d.Drop(p.Ref())
+		p = next
 	}
-	s.dom.Drain()
+	s.d.Drain()
 }

@@ -5,25 +5,15 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/ebr"
-	"repro/internal/hp"
-	"repro/internal/reclaim"
-	"repro/internal/urcu"
+	"repro/smr"
 )
 
-func factories() map[string]DomainFactory {
-	return map[string]DomainFactory{
-		"HE":   func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return core.New(a, c) },
-		"HP":   func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return hp.New(a, c) },
-		"EBR":  func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return ebr.New(a, c) },
-		"URCU": func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return urcu.New(a, c) },
-	}
-}
+// schemes are the registry rows the concurrent tests run.
+var schemes = []smr.Scheme{smr.HE, smr.HP, smr.EBR, smr.URCU}
 
 func heStack(t *testing.T) *Stack {
 	t.Helper()
-	return New(factories()["HE"], WithChecked(true), WithMaxThreads(16))
+	return New(smr.HE.Factory(), WithChecked(true), WithMaxThreads(16))
 }
 
 func TestEmptyPop(t *testing.T) {
@@ -81,9 +71,9 @@ func TestConcurrentPushPop(t *testing.T) {
 	if testing.Short() {
 		per = 300
 	}
-	for name, mk := range factories() {
-		t.Run(name, func(t *testing.T) {
-			s := New(mk, WithChecked(true), WithMaxThreads(threads))
+	for _, sch := range schemes {
+		t.Run(sch.String(), func(t *testing.T) {
+			s := New(sch.Factory(), WithChecked(true), WithMaxThreads(threads))
 			var wg sync.WaitGroup
 			var balance atomic.Int64 // pushes - successful pops
 			var sumPushed, sumPopped atomic.Uint64
@@ -118,17 +108,17 @@ func TestConcurrentPushPop(t *testing.T) {
 				balance.Add(-1)
 			}
 			if balance.Load() != 0 {
-				t.Fatalf("%s: %d values lost or duplicated", name, balance.Load())
+				t.Fatalf("%s: %d values lost or duplicated", sch, balance.Load())
 			}
 			if sumPushed.Load() != sumPopped.Load() {
-				t.Fatalf("%s: value sums differ: pushed %d popped %d", name, sumPushed.Load(), sumPopped.Load())
+				t.Fatalf("%s: value sums differ: pushed %d popped %d", sch, sumPushed.Load(), sumPopped.Load())
 			}
 			if f := s.Arena().Stats().Faults; f != 0 {
-				t.Fatalf("%s: %d memory faults", name, f)
+				t.Fatalf("%s: %d memory faults", sch, f)
 			}
 			s.Drain()
 			if live := s.Arena().Stats().Live; live != 0 {
-				t.Fatalf("%s: leaked %d nodes", name, live)
+				t.Fatalf("%s: leaked %d nodes", sch, live)
 			}
 		})
 	}
@@ -142,14 +132,14 @@ func TestGenerationRefsDefeatABA(t *testing.T) {
 	s := heStack(t)
 	h := s.Register()
 	s.Push(h, 1)
-	oldTop := s.top.Load()
+	oldTop := s.top.Peek()
 	s.Pop(h)     // retires and (unprotected) frees the node
 	s.Push(h, 2) // recycles the same slot
-	newTop := s.top.Load()
+	newTop := s.top.Peek()
 	if oldTop == newTop {
 		t.Fatal("recycled slot produced an identical ref: ABA possible")
 	}
-	if got := s.top.CompareAndSwap(oldTop, 0); got {
+	if got := s.top.CompareAndSwap(oldTop, smr.Ptr[Node]{}); got {
 		t.Fatal("stale CAS succeeded: ABA!")
 	}
 }

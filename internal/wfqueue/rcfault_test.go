@@ -4,9 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/rc"
-	"repro/internal/reclaim"
 	"repro/internal/schedtest"
+	"repro/smr"
 )
 
 // TestRCStaleDescriptorFault demonstrates FAULT-WFQ-RC-001, the reason the
@@ -30,11 +29,10 @@ func TestRCStaleDescriptorFault(t *testing.T) {
 	t.Skip("FAULT-WFQ-RC-001: wfqueue+RC is a known-unsound combination (see bench.RCUnsafe); unskip to demonstrate")
 
 	const workers = 3
-	mk := func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return rc.New(a, c) }
 
 	var failure string
 	for seed := uint64(1); seed <= 256 && failure == ""; seed++ {
-		q := New(mk, WithChecked(true), WithMaxThreads(workers))
+		q := New(smr.RC.Factory(), WithChecked(true), WithMaxThreads(workers))
 		handles := make([]*Handle, workers)
 		for w := range handles {
 			handles[w] = q.Register()

@@ -15,6 +15,12 @@
 // are (HE/HP; running it over EBR or URCU degrades the progress exactly as
 // the paper predicts, which the tests exploit).
 //
+// It is the one structure not written against the public smr API alone: a
+// session here spans two reclamation domains (nodes and descriptors), and
+// an smr.Guard carries exactly one domain's session. So the queue keeps its
+// own Handle over the internal reclaim and mem packages, and takes only its
+// constructor's smr.Factory from smr.
+//
 // Algorithm recap (faithful to the PPoPP'11 pseudocode): each session
 // announces its operation in its announcement cell as an immutable
 // descriptor carrying a phase number; every operation first helps all
@@ -60,6 +66,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/reclaim"
 	"repro/internal/schedtest"
+	"repro/smr"
 )
 
 // Protection slot counts for the two domains.
@@ -105,9 +112,6 @@ func PoisonDesc(d *Desc) {
 	d.Phase = 0xDEADDEADDEADDEAD
 	d.Node = mem.MakeRef(mem.MaxIndex, 0)
 }
-
-// DomainFactory mirrors list.DomainFactory.
-type DomainFactory func(alloc reclaim.Allocator, cfg reclaim.Config) reclaim.Domain
 
 // Handle is a registered wait-free-queue session: one session in each of
 // the two reclamation domains, an announcement cell, and the owner-only
@@ -188,7 +192,7 @@ func WithMaxThreads(n int) Option { return func(c *config) { c.threads = n } }
 
 // New builds an empty wait-free queue whose nodes and descriptors are
 // reclaimed through domains produced by mk.
-func New(mk DomainFactory, opts ...Option) *Queue {
+func New(mk smr.Factory, opts ...Option) *Queue {
 	c := config{threads: 16}
 	for _, o := range opts {
 		o(&c)

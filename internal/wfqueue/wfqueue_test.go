@@ -6,22 +6,16 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/hp"
 	"repro/internal/mem"
-	"repro/internal/reclaim"
+	"repro/smr"
 )
 
-func factories() map[string]DomainFactory {
-	return map[string]DomainFactory{
-		"HE": func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return core.New(a, c) },
-		"HP": func(a reclaim.Allocator, c reclaim.Config) reclaim.Domain { return hp.New(a, c) },
-	}
-}
+// schemes are the registry rows the concurrent tests run.
+var schemes = []smr.Scheme{smr.HE, smr.HP}
 
 func heQueue(t *testing.T, threads int) *Queue {
 	t.Helper()
-	return New(factories()["HE"], WithChecked(true), WithMaxThreads(threads))
+	return New(smr.HE.Factory(), WithChecked(true), WithMaxThreads(threads))
 }
 
 func TestEmptyDequeue(t *testing.T) {
@@ -147,9 +141,9 @@ func TestConcurrentMPMCConservation(t *testing.T) {
 	if testing.Short() {
 		perProducer = 200
 	}
-	for name, mk := range factories() {
-		t.Run(name, func(t *testing.T) {
-			q := New(mk, WithChecked(true), WithMaxThreads(producers+consumers))
+	for _, sch := range schemes {
+		t.Run(sch.String(), func(t *testing.T) {
+			q := New(sch.Factory(), WithChecked(true), WithMaxThreads(producers+consumers))
 			total := producers * perProducer
 			var consumed atomic.Int64
 			results := make(chan []uint64, consumers)
@@ -197,28 +191,28 @@ func TestConcurrentMPMCConservation(t *testing.T) {
 				perProducerLast := map[uint64]int64{}
 				for _, v := range got {
 					if seen[v] {
-						t.Fatalf("%s: duplicate value %x", name, v)
+						t.Fatalf("%s: duplicate value %x", sch, v)
 					}
 					seen[v] = true
 					p, i := v>>32, int64(v&0xffffffff)
 					if last, ok := perProducerLast[p]; ok && i < last {
-						t.Fatalf("%s: per-producer FIFO violated", name)
+						t.Fatalf("%s: per-producer FIFO violated", sch)
 					}
 					perProducerLast[p] = i
 				}
 			}
 			if len(seen) != total {
-				t.Fatalf("%s: consumed %d, want %d", name, len(seen), total)
+				t.Fatalf("%s: consumed %d, want %d", sch, len(seen), total)
 			}
 			if f := q.NodeArena().Stats().Faults + q.DescArena().Stats().Faults; f != 0 {
-				t.Fatalf("%s: %d memory faults", name, f)
+				t.Fatalf("%s: %d memory faults", sch, f)
 			}
 			q.Drain()
 			if live := q.NodeArena().Stats().Live; live != 0 {
-				t.Fatalf("%s: leaked %d nodes", name, live)
+				t.Fatalf("%s: leaked %d nodes", sch, live)
 			}
 			if live := q.DescArena().Stats().Live; live != 0 {
-				t.Fatalf("%s: leaked %d descriptors", name, live)
+				t.Fatalf("%s: leaked %d descriptors", sch, live)
 			}
 		})
 	}

@@ -19,7 +19,11 @@ import (
 // data structures and for the two option-taking schemes (Hazard Eras,
 // Hazard Pointers), which smr does not expose, so `go doc repro` is the
 // structure reference and `go doc repro/smr` the reclamation reference. The
-// implementation stays sealed in internal/ packages.
+// implementation stays sealed in internal/ packages. Every structure below
+// is written against smr alone, so each of its operations passes the
+// Guard's lifecycle checks; only the wait-free queue (internal/wfqueue,
+// not exported here) keeps the internal API, because one of its sessions
+// spans a node domain and a descriptor domain and a Guard carries one.
 
 // ---- the schemes --------------------------------------------------------
 

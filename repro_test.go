@@ -1,6 +1,8 @@
 package repro_test
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -184,4 +186,51 @@ func TestPublicSkipListRange(t *testing.T) {
 		t.Fatalf("Get = %d,%v", v, ok)
 	}
 	s.Drain()
+}
+
+// TestPublicReleasedGuardPanics runs one read operation of every structure
+// on a released Guard. Each read path goes through the Guard's lifecycle
+// checks, so each must panic with smr's released-Guard message instead of
+// running on the session the Guard gave back to the pool.
+func TestPublicReleasedGuardPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		open func() (*smr.Guard, func(*smr.Guard))
+	}{
+		{"List", func() (*smr.Guard, func(*smr.Guard)) {
+			l := repro.NewList(heFactory)
+			return l.Register(), func(g *smr.Guard) { l.Contains(g, 1) }
+		}},
+		{"Map", func() (*smr.Guard, func(*smr.Guard)) {
+			m := repro.NewMap(heFactory)
+			return m.Register(), func(g *smr.Guard) { m.Contains(g, 1) }
+		}},
+		{"Queue", func() (*smr.Guard, func(*smr.Guard)) {
+			q := repro.NewQueue(heFactory)
+			return q.Register(), func(g *smr.Guard) { q.Dequeue(g) }
+		}},
+		{"Stack", func() (*smr.Guard, func(*smr.Guard)) {
+			s := repro.NewStack(heFactory)
+			return s.Register(), func(g *smr.Guard) { s.Pop(g) }
+		}},
+		{"SkipList", func() (*smr.Guard, func(*smr.Guard)) {
+			s := repro.NewSkipList(heFactory)
+			return s.Register(), func(g *smr.Guard) { s.Range(g, 0, 10, func(k, v uint64) bool { return true }) }
+		}},
+		{"Tree", func() (*smr.Guard, func(*smr.Guard)) {
+			tr := repro.NewTree(heFactory)
+			return tr.Register(), func(g *smr.Guard) { tr.Contains(g, 1) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, read := tc.open()
+			g.Release()
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "on a released Guard") {
+					t.Fatalf("read on a released Guard recovered %q, want smr's released-Guard panic", msg)
+				}
+			}()
+			read(g)
+		})
+	}
 }

@@ -154,6 +154,18 @@ echo "== build =="
 go build ./...
 echo "== vet =="
 go vet ./...
+echo "== import gate (structures written against smr alone) =="
+# Every structure but the wait-free queue (a session there spans two
+# domains, which one smr.Guard cannot carry) reaches the substrate only
+# through smr: no non-test file of these packages may import it directly.
+for pkg in list hashmap queue stack bst skiplist; do
+  imports=" $(go list -f '{{join .Imports " "}}' "./internal/$pkg") "
+  for banned in repro/internal/reclaim repro/internal/mem repro/internal/payload; do
+    case "$imports" in
+      *" $banned "*) echo "internal/$pkg imports $banned; use the smr API instead"; exit 1 ;;
+    esac
+  done
+done
 echo "== inlining gate (DESIGN.md \"What a protected hop calls\") =="
 # Each pattern must match, as an extended regexp, a whole function name
 # that go build -gcflags=-m reports as "can inline" in that package.

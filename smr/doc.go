@@ -41,6 +41,8 @@
 // host, read from cmd/heperf's traced ledger as smr.load_ns minus
 // reclaim.handle_protect_ns.
 //
-// internal/list and internal/queue are written entirely against this
-// package; examples/quickstart shows the end-to-end flow.
+// Every structure in the repository except the wait-free queue (whose
+// sessions span two domains, which one Guard cannot carry) is written
+// against this package alone; examples/quickstart shows the end-to-end
+// flow.
 package smr

@@ -77,16 +77,12 @@ type Guard struct {
 	_ atomicx.CacheLinePad
 }
 
-// Adopt wraps an internal session handle in a Guard. The Guard is parked in
+// adopt wraps an internal session handle in a Guard. The Guard is parked in
 // the handle's Wrapper slot, so adopting a pooled handle (Domain.Acquire
 // after an earlier Release) revives the existing Guard instead of
 // allocating — the zero-allocation steady state this package's
 // AllocsPerRun tests pin.
-//
-// Adopt is the bridge for drivers that construct sessions through the
-// internal reclaim API (bench harnesses, checkers); pure public-API code
-// never needs it.
-func Adopt(h *reclaim.Handle) *Guard {
+func adopt(h *reclaim.Handle) *Guard {
 	if g, ok := h.Wrapper.(*Guard); ok {
 		g.state = guardIdle
 		g.id = int32(h.ID())
@@ -100,9 +96,9 @@ func Adopt(h *reclaim.Handle) *Guard {
 // ID returns the session id (dense; doubles as the arena shard id).
 func (g *Guard) ID() int { return g.h.ID() }
 
-// Handle exposes the internal session handle, for structures and drivers
-// that still speak the internal reclaim API. The lifecycle checks cannot
-// see what happens through it; prefer the typed surface.
+// Handle exposes the internal session handle, for code that times the
+// layers under the Guard (cmd/heperf's ledger). No structure uses it, and
+// the lifecycle checks cannot see what happens through it.
 func (g *Guard) Handle() *reclaim.Handle { return g.h }
 
 // BeginOp opens the operation window: protections published by Atomic.Load

@@ -123,7 +123,7 @@ func (s Scheme) String() string {
 }
 
 // Factory returns the backend constructor for the scheme, for use with
-// NewWith or any structure's DomainFactory parameter.
+// NewWith or any structure's New.
 func (s Scheme) Factory() Factory {
 	if !s.valid() {
 		panic("smr: unknown Scheme")

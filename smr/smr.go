@@ -12,9 +12,9 @@ import (
 // These aliases are the bridge between the typed public surface and the
 // internal substrate: a Ref is the same packed word internal/mem uses, a
 // Backend is the same reclaim.Domain every scheme implements, and a Factory
-// is assignable from the factories the bench layer and the structure
-// packages already pass around. Internal packages ported to smr therefore
-// interoperate with unported ones without conversion shims.
+// is the one constructor type every structure's New, the bench layer and
+// the wait-free queue (which still speaks the internal API) take, so no
+// conversion shims sit between them.
 
 // Ref is a packed arena reference: mark bit, size class, slot generation,
 // slot index. It is the untyped currency of the lifecycle calls that do not
@@ -85,9 +85,9 @@ type Instrument = reclaim.Instrument
 // NewInstrument allocates instrumentation counters for maxThreads ids.
 func NewInstrument(maxThreads int) *Instrument { return reclaim.NewInstrument(maxThreads) }
 
-// Factory constructs a reclamation backend over an allocator. The factories
-// in internal/bench and the Scheme.Factory method both have this shape;
-// NewWith accepts either.
+// Factory constructs a reclamation backend over an allocator: the value
+// Scheme.Factory returns, a bench.Scheme's Make, or a closure over a
+// parameterized constructor. NewWith and every structure's New take one.
 type Factory = func(alloc Allocator, cfg Config) Backend
 
 // Hub aggregates observability domains for export (Prometheus text,
@@ -161,12 +161,12 @@ func (d *Domain[T]) Stats() Stats { return d.dom.Stats() }
 
 // Register opens a new session and returns its Guard. It never fails: the
 // registry grows past its initial capacity on demand.
-func (d *Domain[T]) Register() *Guard { return Adopt(d.dom.Register()) }
+func (d *Domain[T]) Register() *Guard { return adopt(d.dom.Register()) }
 
 // Acquire returns a pooled session parked by an earlier Release, or
 // registers a new one. The pooled path reuses both the session handle and
 // its Guard, so steady-state Acquire/Release allocates nothing.
-func (d *Domain[T]) Acquire() *Guard { return Adopt(d.dom.Acquire()) }
+func (d *Domain[T]) Acquire() *Guard { return adopt(d.dom.Acquire()) }
 
 // Alloc takes a T block from the guard session's arena magazine. The block
 // is private until Publish stamps its birth era and a CAS links it; an
@@ -231,7 +231,10 @@ func (d *Domain[T]) DerefBytes(g *Guard, b Bytes) []byte {
 
 // DerefQuiescent returns the node p names without a protection proof — for
 // single-threaded phases (construction, teardown, tests) where no
-// concurrent reclaimer exists. Checked arenas still validate generations.
+// concurrent reclaimer exists. A writer lock that serializes every retirer
+// counts as quiescence: a writer holding it reaches only linked nodes, and
+// nothing linked can be retired until it lets go. Checked arenas still
+// validate generations.
 func (d *Domain[T]) DerefQuiescent(p Ptr[T]) *T { return d.arena.Get(p.ref) }
 
 // Free returns a never-published block to the session's magazine (the
