@@ -11,16 +11,19 @@
 //     reader dereference reclaimed memory, is reported with the schedule
 //     seed that exposes it.
 //
-//   - Linearizability (struct suite): bounded concurrent histories of the
-//     list, hash map, queue and stack under every scheme, recorded with
-//     internal/linz and checked against the sequential model (Wing-Gong).
+//   - Linearizability (struct suite): bounded concurrent histories of every
+//     row of the structure table (bench.Structures) that has a sequential
+//     model, under every scheme the row admits, recorded with internal/linz
+//     and checked against the row's model (Wing-Gong). Set rows run twice
+//     per seed: with word values and with byte values, whose lookups read
+//     the payload through Get.
 //
-// Every failure names its schedule seed; rerunning with -seed N replays
-// that exact interleaving. The -mutate flag arms a deliberately broken
-// scheme variant (core.TestingMutation, hyaline.TestingMutation,
-// wfe.TestingMutation) and inverts the exit logic: detecting the defect is
-// success — the kill-check that proves the oracles can actually catch the
-// bug class they claim to.
+// Every failure prints the command that replays it: its schedule seed and
+// every schedule-shaping flag that differs from its default. The -mutate
+// flag arms a deliberately broken scheme variant (core.TestingMutation,
+// hyaline.TestingMutation, wfe.TestingMutation) and inverts the exit logic:
+// detecting the defect is success — the kill-check that proves the oracles
+// can actually catch the bug class they claim to.
 package main
 
 import (
@@ -28,28 +31,25 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/hashmap"
 	"repro/internal/hyaline"
 	"repro/internal/linz"
-	"repro/internal/list"
 	"repro/internal/mem"
-	"repro/internal/queue"
 	"repro/internal/reclaim"
 	"repro/internal/schedtest"
-	"repro/internal/stack"
 	"repro/internal/wfe"
 	"repro/smr"
 )
 
 var (
 	flagSuite     = flag.String("suite", "all", "suite to run: domain, struct, all")
-	flagStruct    = flag.String("struct", "", "comma-separated structure filter (list,map,queue,stack)")
+	flagStruct    = flag.String("struct", "all", "comma-separated structure filter ("+strings.Join(linzNames(), ",")+"), or all")
 	flagScheme    = flag.String("scheme", "", "comma-separated scheme filter ("+strings.Join(smr.SchemeNames(), ",")+")")
 	flagSeeds     = flag.Uint64("seeds", 8, "number of schedule seeds to explore (1..N)")
 	flagSeed      = flag.Uint64("seed", 0, "replay exactly this schedule seed (overrides -seeds)")
@@ -97,20 +97,26 @@ func main() {
 			for _, seed := range seeds {
 				runs++
 				vs := runDomainSeed(sch, mutation, seed)
-				report("domain", sch.String(), seed, vs, &failures)
+				report("domain", "", sch.String(), seed, vs, &failures)
 			}
 		}
 	}
 	if (*flagSuite == "struct" || *flagSuite == "all") && mutation == nil {
 		for _, sch := range schemes {
 			for _, st := range structs {
-				if sch == smr.RC && bench.RCUnsafe(st) {
+				if !st.Admits(sch) {
 					continue
 				}
+				labels := []string{st.Name} // word values, then byte values
+				if st.Kind == bench.KindSet {
+					labels = append(labels, st.Name+"+bytes")
+				}
 				for _, seed := range seeds {
-					runs++
-					vs := runStructSeed(sch, st, seed)
-					report(st, sch.String(), seed, vs, &failures)
+					for i, label := range labels {
+						runs++
+						vs := runStructSeed(sch, st, i == 1, seed)
+						report(label, st.Name, sch.String(), seed, vs, &failures)
+					}
 				}
 			}
 		}
@@ -151,13 +157,11 @@ type mutationSpec struct {
 	// clock between its cell raise and its source load.
 	writers int
 	// minOps raises the per-worker operation count when the defect needs a
-	// long chain of interleavings to manifest; targeted concentrates the
-	// schedule's token switches on the gate kinds spanning that chain;
-	// cells overrides the shared-cell count (fewer cells raise the odds a
-	// writer swap collides with the announced source); minWorkers raises the
-	// worker count so more readers announce concurrently.
+	// long chain of interleavings to manifest; cells overrides the
+	// shared-cell count (fewer cells raise the odds a writer swap collides
+	// with the announced source); minWorkers raises the worker count so
+	// more readers announce concurrently.
 	minOps     int
-	targeted   []schedtest.Kind
 	cells      int
 	minWorkers int
 	// spinHold replaces the reader's second protected window with spinHold
@@ -218,46 +222,72 @@ func seedList() []uint64 {
 	return seeds
 }
 
-// hecheckStructs are the structures the struct suite checks.
-var hecheckStructs = []string{"list", "map", "queue", "stack"}
-
-// parseStructs resolves the -struct filter ("" = every structure); every
-// entry must name one of hecheckStructs.
-func parseStructs(spec string) ([]string, error) {
-	if spec == "" {
-		return hecheckStructs, nil
-	}
-	var out []string
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		if !slices.Contains(hecheckStructs, name) {
-			return nil, fmt.Errorf("unknown structure %q (want one of %s)", name, strings.Join(hecheckStructs, ", "))
+// linzNames lists the structure table's rows that have a sequential model.
+func linzNames() []string {
+	var names []string
+	for _, st := range bench.Structures() {
+		if st.Linz {
+			names = append(names, st.Name)
 		}
-		out = append(out, name)
 	}
-	return out, nil
+	return names
 }
 
-func report(suite, scheme string, seed uint64, violations []string, failures *[]string) {
+// parseStructs resolves the -struct filter against the structure table:
+// "all" is every row with a sequential model, and every named entry must be
+// one of them.
+func parseStructs(spec string) ([]bench.Structure, error) {
+	rows, err := bench.ParseStructs(spec)
+	unchecked := func(st bench.Structure) bool { return !st.Linz }
+	if i := slices.IndexFunc(rows, unchecked); i >= 0 && spec != "all" {
+		return nil, fmt.Errorf("structure %q has no linearizability model (want one of %s)", rows[i].Name, strings.Join(linzNames(), ", "))
+	}
+	return slices.DeleteFunc(rows, unchecked), err
+}
+
+// report prints every violation of one run with the command that replays
+// it. label names the run; structName is the -struct entry that reruns it
+// ("" for the domain suite).
+func report(label, structName, scheme string, seed uint64, violations []string, failures *[]string) {
 	if len(violations) == 0 {
 		if *flagVerbose {
-			fmt.Printf("ok   %-6s %-9s seed=%d\n", suite, scheme, seed)
+			fmt.Printf("ok   %-6s %-9s seed=%d\n", label, scheme, seed)
 		}
 		return
 	}
-	mutArg := ""
-	if *flagMutate != "" {
-		mutArg = " -mutate " + *flagMutate
-	}
-	replay := fmt.Sprintf("hecheck%s -suite domain -scheme %s -seed %d", mutArg, scheme, seed)
-	if suite != "domain" {
-		replay = fmt.Sprintf("hecheck -suite struct -struct %s -scheme %s -seed %d", suite, scheme, seed)
-	}
+	replay := "hecheck " + strings.Join(replayArgs(structName, scheme, seed), " ")
 	for _, v := range violations {
-		line := fmt.Sprintf("%s/%s seed=%d: %s", suite, scheme, seed, v)
+		line := fmt.Sprintf("%s/%s seed=%d: %s", label, scheme, seed, v)
 		fmt.Printf("FAIL %s\n     replay: %s\n", line, replay)
 		*failures = append(*failures, line)
 	}
+}
+
+// replayArgs is the command line that reruns one seed: the armed defect,
+// the suite, structure and scheme, the seed, and every schedule-shaping
+// flag that differs from its default.
+func replayArgs(structName, scheme string, seed uint64) []string {
+	var args []string
+	if *flagMutate != "" {
+		args = append(args, "-mutate", *flagMutate)
+	}
+	if structName == "" {
+		args = append(args, "-suite", "domain")
+	} else {
+		args = append(args, "-suite", "struct", "-struct", structName)
+	}
+	args = append(args, "-scheme", scheme, "-seed", strconv.FormatUint(seed, 10))
+	for _, name := range []string{"workers", "ops", "switchpct", "maxsteps", "scan-threshold"} {
+		if f := flag.Lookup(name); f.Value.String() != f.DefValue {
+			args = append(args, "-"+name, f.Value.String())
+		}
+	}
+	return args
+}
+
+// schedule is the controller configuration of one seed under the flags.
+func schedule(seed uint64) schedtest.Config {
+	return schedtest.Config{Seed: seed, SwitchPct: *flagSwitchPct, MaxSteps: *flagMaxSteps}
 }
 
 // splitmix is the per-worker workload PRNG — independent of the schedule
@@ -436,16 +466,8 @@ func runDomainSeed(sch smr.Scheme, mutation *mutationSpec, seed uint64) []string
 		fns[w] = writer(w)
 	}
 
-	cfg := schedtest.Config{
-		Seed:      seed,
-		SwitchPct: *flagSwitchPct,
-		MaxSteps:  *flagMaxSteps,
-	}
-	if mutation != nil {
-		cfg.Targeted = mutation.targeted
-	}
 	var violations []string
-	if err := schedtest.Run(cfg, fns...); err != nil {
+	if err := schedtest.Run(schedule(seed), fns...); err != nil {
 		violations = append(violations, err.Error())
 	}
 	violations = append(violations, oracle.Violations()...)
@@ -461,142 +483,93 @@ func runDomainSeed(sch smr.Scheme, mutation *mutationSpec, seed uint64) []string
 	return violations
 }
 
-// structOps adapts one structure behind a common op surface so a single
-// worker body drives all four.
-type structOps struct {
-	model linz.Model
-	// update runs one randomized operation and records it; set-like
-	// structures insert/remove/contains over a small key range, LIFO/FIFO
-	// structures push unique values and pop.
-	step     func(g *smr.Guard, rec *linz.Recorder, w int, rng *uint64)
-	register func() *smr.Guard
-	drain    func()
-}
-
-func makeStruct(name string, sch smr.Scheme) structOps {
-	threads := *flagWorkers + 1
-	switch name {
-	case "list", "map":
-		var (
-			insert   func(g *smr.Guard, k, v uint64) bool
-			remove   func(g *smr.Guard, k uint64) bool
-			contains func(g *smr.Guard, k uint64) bool
-			register func() *smr.Guard
-			drain    func()
-		)
-		if name == "list" {
-			l := list.New(sch.Factory(), list.WithChecked(true), list.WithMaxThreads(threads))
-			insert, remove, contains = l.Insert, l.Remove, l.Contains
-			register, drain = l.Register, l.Drain
-		} else {
-			m := hashmap.New(sch.Factory(), hashmap.WithChecked(true), hashmap.WithMaxThreads(threads), hashmap.WithBuckets(2))
-			insert, remove, contains = m.Insert, m.Remove, m.Contains
-			register, drain = m.Register, m.Drain
-		}
+// structWorker opens worker w's session on b and returns the step that runs
+// and records one randomized operation, and the session's close. Set rows
+// insert, remove and look up keys in a range of three (in byte mode the
+// lookup is a Get, whose value must be the key it was inserted with); FIFO
+// and LIFO rows push unique values and pop.
+func structWorker(b bench.Built, rec *linz.Recorder, w int, bytes bool) (func(rng *uint64), func()) {
+	if s := b.Set; s != nil {
 		const keyRange = 3
-		return structOps{
-			model:    linz.NewSetModel(),
-			register: register,
-			drain:    drain,
-			step: func(g *smr.Guard, rec *linz.Recorder, w int, rng *uint64) {
-				key := splitmix(rng) % keyRange
-				switch splitmix(rng) % 4 {
-				case 0, 1:
-					op := rec.Call(w, linz.OpInsert, key)
-					op.Return(0, insert(g, key, key))
-				case 2:
-					op := rec.Call(w, linz.OpRemove, key)
-					op.Return(0, remove(g, key))
-				default:
-					op := rec.Call(w, linz.OpContains, key)
-					op.Return(0, contains(g, key))
+		g := s.Register()
+		return func(rng *uint64) {
+			key := splitmix(rng) % keyRange
+			switch splitmix(rng) % 4 {
+			case 0, 1:
+				op := rec.Call(w, linz.OpInsert, key)
+				op.Return(0, s.Insert(g, key, key))
+			case 2:
+				op := rec.Call(w, linz.OpRemove, key)
+				op.Return(0, s.Remove(g, key))
+			default:
+				op := rec.Call(w, linz.OpContains, key)
+				if !bytes {
+					op.Return(0, s.Contains(g, key))
+					return
 				}
-			},
-		}
-	case "queue":
-		q := queue.New(sch.Factory(), queue.WithChecked(true), queue.WithMaxThreads(threads))
-		return structOps{
-			model:    linz.NewQueueModel(),
-			register: q.Register,
-			drain:    q.Drain,
-			step: func(g *smr.Guard, rec *linz.Recorder, w int, rng *uint64) {
-				if splitmix(rng)%2 == 0 {
-					v := uint64(w)<<32 | splitmix(rng)&0xFFFF
-					op := rec.Call(w, linz.OpPush, v)
-					q.Enqueue(g, v)
-					op.Return(0, true)
-				} else {
-					op := rec.Call(w, linz.OpPop, 0)
-					v, ok := q.Dequeue(g)
-					op.Return(v, ok)
+				v, ok := s.Get(g, key)
+				op.Return(0, ok)
+				if ok && v != key {
+					panic(fmt.Sprintf("Get(%d) read value %d", key, v))
 				}
-			},
-		}
-	case "stack":
-		s := stack.New(sch.Factory(), stack.WithChecked(true), stack.WithMaxThreads(threads))
-		return structOps{
-			model:    linz.NewStackModel(),
-			register: s.Register,
-			drain:    s.Drain,
-			step: func(g *smr.Guard, rec *linz.Recorder, w int, rng *uint64) {
-				if splitmix(rng)%2 == 0 {
-					v := uint64(w)<<32 | splitmix(rng)&0xFFFF
-					op := rec.Call(w, linz.OpPush, v)
-					s.Push(g, v)
-					op.Return(0, true)
-				} else {
-					op := rec.Call(w, linz.OpPop, 0)
-					v, ok := s.Pop(g)
-					op.Return(v, ok)
-				}
-			},
-		}
+			}
+		}, g.Unregister
 	}
-	fatalf("unknown structure %q", name)
-	return structOps{}
+	push, pop, done := b.Open()
+	return func(rng *uint64) {
+		if splitmix(rng)%2 == 0 {
+			v := uint64(w)<<32 | splitmix(rng)&0xFFFF
+			op := rec.Call(w, linz.OpPush, v)
+			push(v)
+			op.Return(0, true)
+		} else {
+			op := rec.Call(w, linz.OpPop, 0)
+			v, ok := pop()
+			op.Return(v, ok)
+		}
+	}, done
 }
 
 // runStructSeed runs the bounded linearizability workload for one
-// (structure, scheme) pair under one schedule seed. A checked-arena fault
-// panics inside a worker; the controller recovers it and reports it (with
-// the seed) as the schedule error.
-func runStructSeed(sch smr.Scheme, structName string, seed uint64) []string {
-	so := makeStruct(structName, sch)
+// (structure, scheme) pair under one schedule seed, with byte values when
+// bytes is set. A checked-arena fault panics inside a worker; the
+// controller recovers it and reports it (with the seed) as the schedule
+// error.
+func runStructSeed(sch smr.Scheme, st bench.Structure, bytes bool, seed uint64) []string {
+	var sizer func(uint64) int
+	if bytes {
+		sizer = func(uint64) int { return 32 }
+	}
+	b := st.New(sch.Factory(), true, *flagWorkers+1, sizer)
 	workers := *flagWorkers
 	ops := *flagOps
 
 	rec := linz.NewRecorder()
-	handles := make([]*smr.Guard, workers)
-	for w := range handles {
-		handles[w] = so.register()
-	}
 	fns := make([]func(), workers)
-	for w := 0; w < workers; w++ {
-		w := w
+	closes := make([]func(), workers)
+	for w := range fns {
+		var step func(*uint64)
+		step, closes[w] = structWorker(b, rec, w, bytes)
 		fns[w] = func() {
 			rng := seed<<8 ^ uint64(w)
 			for k := 0; k < ops; k++ {
-				so.step(handles[w], rec, w, &rng)
+				step(&rng)
 			}
 		}
 	}
 
 	var violations []string
-	if err := schedtest.Run(schedtest.Config{
-		Seed:      seed,
-		SwitchPct: *flagSwitchPct,
-		MaxSteps:  *flagMaxSteps,
-	}, fns...); err != nil {
+	if err := schedtest.Run(schedule(seed), fns...); err != nil {
 		violations = append(violations, err.Error())
 	}
-	if history := rec.History(); !linz.Check(history, so.model) {
+	if history := rec.History(); !linz.Check(history, st.Model()) {
 		violations = append(violations,
 			fmt.Sprintf("history of %d ops is not linearizable", len(history)))
 	}
 
-	for _, h := range handles {
-		h.Unregister()
+	for _, c := range closes {
+		c()
 	}
-	so.drain()
+	b.Drain()
 	return violations
 }

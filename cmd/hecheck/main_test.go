@@ -1,6 +1,9 @@
 package main
 
 import (
+	"flag"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,27 +39,40 @@ func TestDomainSuiteCleanAmortized(t *testing.T) {
 	}
 }
 
-// TestStructSuiteSmoke runs a spread of (structure, scheme) pairs through
-// the bounded linearizability workload. The full matrix runs in CI via the
-// hecheck binary; this keeps `go test ./...` fast while still exercising
-// all four structures and four distinct schemes.
+// TestStructSuiteSmoke runs one (structure, scheme) pair per row of the
+// structure table that has a sequential model, plus one byte-value row,
+// through the bounded linearizability workload. The full matrix runs in CI
+// via the hecheck binary; this keeps `go test ./...` fast while still
+// exercising every checked row.
 func TestStructSuiteSmoke(t *testing.T) {
-	pairs := []struct {
-		structName string
-		scheme     smr.Scheme
-	}{
-		{"list", smr.HE},
-		{"map", smr.URCU},
-		{"queue", smr.EBR},
-		{"stack", smr.RC},
+	schemeOf := map[string]smr.Scheme{
+		"list":     smr.HE,
+		"map":      smr.URCU,
+		"queue":    smr.EBR,
+		"stack":    smr.RC,
+		"bst":      smr.HP,
+		"skiplist": smr.URCU,
 	}
-	for _, p := range pairs {
+	run := func(st bench.Structure, sch smr.Scheme, bytes bool) {
 		for seed := uint64(1); seed <= 2; seed++ {
-			if vs := runStructSeed(p.scheme, p.structName, seed); len(vs) != 0 {
-				t.Errorf("%s/%s seed=%d: %v", p.structName, p.scheme, seed, vs)
+			if vs := runStructSeed(sch, st, bytes, seed); len(vs) != 0 {
+				t.Errorf("%s/%s bytes=%v seed=%d: %v", st.Name, sch, bytes, seed, vs)
 			}
 		}
 	}
+	rows, err := parseStructs("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range rows {
+		sch, ok := schemeOf[st.Name]
+		if !ok {
+			t.Errorf("no smoke pair for structure %q", st.Name)
+			continue
+		}
+		run(st, sch, false)
+	}
+	run(bench.Struct("skiplist"), smr.HP, true)
 }
 
 // TestMutationKillCheck is the acceptance-criteria mutation gate: with a
@@ -131,10 +147,12 @@ func TestFilterFlagsRejectUnknownNames(t *testing.T) {
 		{"scheme", "hyaline-1r, WFE", 2, ""},
 		{"scheme", "HE,hyalin", 0, "hyalin"},
 		{"scheme", "HE,", 0, `""`},
-		{"struct", "", 4, ""},
+		{"struct", "all", 6, ""},
 		{"struct", "list,stack", 2, ""},
 		{"struct", "list,lsit", 0, "lsit"},
-		{"struct", "bst", 0, "bst"},
+		{"struct", "bst", 1, ""},
+		{"struct", "bst,skiplist", 2, ""},
+		{"struct", "wfq", 0, "wfq"},
 	}
 	for _, tc := range cases {
 		var n int
@@ -144,7 +162,7 @@ func TestFilterFlagsRejectUnknownNames(t *testing.T) {
 			got, err = bench.ParseSchemes(tc.spec)
 			n = len(got)
 		} else {
-			var got []string
+			var got []bench.Structure
 			got, err = parseStructs(tc.spec)
 			n = len(got)
 		}
@@ -157,5 +175,54 @@ func TestFilterFlagsRejectUnknownNames(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.bad) {
 			t.Errorf("-%s %q: err %v, want one naming %s", tc.flag, tc.spec, err, tc.bad)
 		}
+	}
+}
+
+// TestReplayLineReproducesNonDefaultRun runs a kill-check with non-default
+// schedule flags (the default amortized scan trigger and 20 ops), parses
+// the replay line printed for its first violating seed back into the flags
+// after resetting every flag to its default, and expects the identical
+// violations. The same seed at the default flags must report something
+// else, or the check would pass without the flags on the line.
+func TestReplayLineReproducesNonDefaultRun(t *testing.T) {
+	reset := func() {
+		flag.VisitAll(func(f *flag.Flag) {
+			if !strings.HasPrefix(f.Name, "test.") {
+				f.Value.Set(f.DefValue)
+			}
+		})
+	}
+	defer reset()
+	run := func(args ...string) []string {
+		reset()
+		if err := flag.CommandLine.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		spec, err := parseMutation(*flagMutate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sch, err := smr.ParseScheme(*flagScheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runDomainSeed(sch, spec, *flagSeed)
+	}
+	var seed uint64
+	var first []string
+	for s := uint64(1); s <= 8 && first == nil; s++ {
+		seed = s
+		first = run("-mutate", "skip-publish", "-scheme", "HE", "-scan-threshold", "0", "-ops", "20", "-seed", fmt.Sprint(s))
+	}
+	if first == nil {
+		t.Fatal("skip-publish survived 8 seeds at -scan-threshold 0 -ops 20")
+	}
+	args := replayArgs("", "HE", seed)
+	t.Logf("replay: hecheck %s", strings.Join(args, " "))
+	if replay := run(args...); !slices.Equal(replay, first) {
+		t.Fatalf("replay diverged:\n  first:  %q\n  replay: %q", first, replay)
+	}
+	if plain := run("-mutate", "skip-publish", "-scheme", "HE", "-seed", fmt.Sprint(seed)); slices.Equal(plain, first) {
+		t.Fatalf("seed %d reports the same at default flags; the check does not show the flags matter", seed)
 	}
 }

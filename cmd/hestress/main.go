@@ -10,15 +10,17 @@
 //	hestress -struct all -scheme all -dur 1s -grow
 //	hestress -struct list -scheme HE -phases churn:2s,read:1s,stall:2s
 //
-// Structures: list, map, queue, stack, bst, wfq, skiplist, all. Schemes:
-// every name in the smr scheme registry (smr.Schemes; `hestress -h` lists
-// them), or all. An unknown structure or scheme name exits with status 2.
-// RC is skipped on the structures bench.RCUnsafe excludes. -grow undersizes
-// every registry so the dynamic session-growth path (Register past the
-// initial capacity) is exercised under full contention; registration never
-// fails either way. -valsize N (or zipf:N) attaches a variable-size []byte
-// payload to every key of the set-like structures, stressing the byte-class
-// sub-allocator's recycle path alongside node reclamation.
+// Structures: every row of the structure table (bench.Structures; `hestress
+// -h` lists them), or all. Schemes: every name in the smr scheme registry
+// (smr.Schemes), or all. An unknown structure or scheme name exits with
+// status 2. RC is skipped on the rows that do not admit it. Set rows run a
+// churn of updates and lookups, FIFO rows split producers from consumers,
+// LIFO rows alternate push and pop. -grow undersizes every registry so the
+// dynamic session-growth path (Register past the initial capacity) is
+// exercised under full contention; registration never fails either way.
+// -valsize N (or zipf:N) attaches a variable-size []byte payload to every
+// key of the set rows, stressing the byte-class sub-allocator's recycle
+// path alongside node reclamation.
 //
 // -phases shifts the stress regime over a looping schedule — churn
 // (update-heavy), read (read-only), stall (a parked reader on pinnable
@@ -31,72 +33,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/bst"
-	"repro/internal/hashmap"
-	"repro/internal/list"
-	"repro/internal/queue"
-	"repro/internal/skiplist"
-	"repro/internal/stack"
-	"repro/internal/wfqueue"
 	"repro/smr"
 )
 
-type stressTarget struct {
-	name string
-	run  func(s bench.Scheme, threads int, dur time.Duration) (faults int64, ops int64)
-}
-
-// stressTargets is the full structure roster.
-func stressTargets() []stressTarget {
-	return []stressTarget{
-		{"list", stressList},
-		{"map", stressMap},
-		{"queue", stressQueue},
-		{"stack", stressStack},
-		{"bst", stressBST},
-		{"wfq", stressWFQueue},
-		{"skiplist", stressSkipList},
-	}
-}
-
-// structNames lists the roster's structure names followed by "all".
-func structNames() []string {
-	var names []string
-	for _, t := range stressTargets() {
-		names = append(names, t.name)
-	}
-	return append(names, "all")
-}
-
-// parseStructs resolves the -struct flag against the roster; every entry
-// must name a structure.
-func parseStructs(spec string) ([]stressTarget, error) {
-	targets := stressTargets()
-	if spec == "all" {
-		return targets, nil
-	}
-	var out []stressTarget
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		i := slices.IndexFunc(targets, func(t stressTarget) bool { return t.name == name })
-		if i < 0 {
-			return nil, fmt.Errorf("unknown structure %q (want one of %s)", name, strings.Join(structNames(), ", "))
-		}
-		out = append(out, targets[i])
-	}
-	return out, nil
-}
-
 func main() {
 	var (
-		structs = flag.String("struct", "all", strings.Join(structNames(), "|"))
+		structs = flag.String("struct", "all", strings.Join(bench.StructNames(), "|"))
 		schemes = flag.String("scheme", "all", strings.Join(smr.SchemeNames(), "|")+"|all")
 		threads = flag.Int("threads", 8, "concurrent workers")
 		dur     = flag.Duration("dur", time.Second, "stress duration per combination")
@@ -104,9 +52,8 @@ func main() {
 	)
 	envFlags := bench.RegisterEnvFlags(flag.CommandLine)
 	flag.Parse()
-	growMode = envFlags.Grow
 
-	targets, err := parseStructs(*structs)
+	targets, err := bench.ParseStructs(*structs)
 	if err != nil {
 		fatal(err)
 	}
@@ -123,22 +70,26 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	byteSizer = env.ValSizer
+	sessions := *threads + 2
+	if envFlags.Grow {
+		sessions = 2
+	}
 
 	failed := false
 	for _, t := range targets {
 		for _, s := range picked {
-			if s == smr.RC && bench.RCUnsafe(t.name) {
-				fmt.Printf("%-6s %-10s %10s  skipped: Valois RC is re-usage-only on frozen-cell structures (paper [28])\n", t.name, s, "-")
+			if !t.Admits(s) {
+				fmt.Printf("%-6s %-10s %10s  skipped: Valois RC is re-usage-only on frozen-cell structures (paper [28])\n", t.Name, s, "-")
 				continue
 			}
-			faults, ops := t.run(env.Wrap(bench.Of(s)), *threads, *dur)
+			b := t.New(env.Wrap(bench.Of(s)).Make, true, sessions, env.ValSizer)
+			faults, ops := stress(b, t.Kind, env.ValSizer != nil, *threads, *dur)
 			status := "OK"
 			if faults > 0 {
 				status = "FAULTS DETECTED"
 				failed = true
 			}
-			fmt.Printf("%-6s %-10s %10d ops  %3d faults  %s\n", t.name, s, ops, faults, status)
+			fmt.Printf("%-6s %-10s %10d ops  %3d faults  %s\n", t.Name, s, ops, faults, status)
 		}
 	}
 	closeEnv()
@@ -153,26 +104,6 @@ func fatal(err error) {
 	os.Exit(2)
 }
 
-// growMode deliberately undersizes every registry so the slot-block growth
-// path (Register past the initial capacity) runs under full stress. With it
-// off, capacity is sized to the worker count plus setup/stall headroom;
-// either way Register never fails — growth is the tentpole guarantee.
-var growMode bool
-
-// byteSizer, when non-nil (-valsize), switches the set-like structures into
-// byte-value mode: every key carries a variable-size payload through the
-// checked byte-class sub-allocator, so payload use-after-free and overruns
-// surface as faults alongside the node-level ones.
-var byteSizer func(key uint64) int
-
-// capFor picks the initial session capacity for a stress run.
-func capFor(threads int) int {
-	if growMode {
-		return 2
-	}
-	return threads + 2
-}
-
 // guard converts a memory-fault panic (the checked arena's reaction to a
 // use-after-free or double free) into a counted failure and stops the run,
 // so one bad scheme/structure combination doesn't abort the whole sweep.
@@ -182,13 +113,6 @@ func guard(panics *atomic.Int64, stop *atomic.Bool) {
 		panics.Add(1)
 		stop.Store(true)
 	}
-}
-
-// byteGetter is the payload-read entry point the set-like structures expose
-// in byte-value mode; churnSet drives it so stale payload protection (not
-// just stale node protection) is under test.
-type byteGetter interface {
-	GetBytes(g *smr.Guard, key uint64) ([]byte, bool)
 }
 
 // stressPhases, when non-nil (-phases), shifts the stress regime over a
@@ -240,100 +164,26 @@ func runPhaseSchedule(s bench.Set, stop *atomic.Bool) <-chan struct{} {
 	return done
 }
 
-// churnSet drives a bench.Set with the paper's update workload and constant
-// lookups under a checked arena.
-func churnSet(s bench.Set, faultsOf func() int64, threads int, dur time.Duration) (int64, int64) {
-	const keyRange = 256
-	bg, _ := s.(byteGetter)
-	setup := s.Register()
-	for k := uint64(0); k < keyRange; k++ {
-		s.Insert(setup, k, k)
+// stress drives b for dur with checked arenas: a set with churnSet (bytes
+// when it holds byte values), a FIFO or LIFO with roles. It returns the
+// detected faults and the operations run, and drains b.
+func stress(b bench.Built, kind bench.Kind, bytes bool, threads int, dur time.Duration) (int64, int64) {
+	var panics, ops int64
+	if b.Set != nil {
+		panics, ops = churnSet(b.Set, bytes, threads, dur)
+	} else {
+		panics, ops = drive(threads, dur, roles(b, kind))
 	}
-	setup.Unregister()
-
-	var stop atomic.Bool
-	var panics atomic.Int64
-	var ops atomic.Int64
-	var wg sync.WaitGroup
-	var scheduleDone <-chan struct{}
-	if stressPhases != nil {
-		scheduleDone = runPhaseSchedule(s, &stop)
-	}
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			defer guard(&panics, &stop)
-			h := s.Register()
-			defer h.Unregister()
-			rng := bench.NewSplitMix64(seed)
-			var local int64
-			defer func() { ops.Add(local) }()
-			for !stop.Load() {
-				k := rng.Intn(keyRange)
-				switch {
-				case rng.Intn(100) < uint64(stressUpdatePct.Load()):
-					if s.Remove(h, k) {
-						s.Insert(h, k, k)
-					}
-				case byteSizer != nil && bg != nil && rng.Intn(2) == 0:
-					bg.GetBytes(h, k)
-				default:
-					s.Contains(h, k)
-				}
-				local++
-			}
-		}(uint64(w) + 1)
-	}
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	if scheduleDone != nil {
-		<-scheduleDone
-	}
-	return faultsOf() + panics.Load(), ops.Load()
-}
-
-func stressList(s bench.Scheme, threads int, dur time.Duration) (int64, int64) {
-	opts := []list.Option{list.WithChecked(true), list.WithMaxThreads(capFor(threads))}
-	if byteSizer != nil {
-		opts = append(opts, list.WithByteValues(byteSizer))
-	}
-	l := list.New(s.Make, opts...)
-	faults, ops := churnSet(l, func() int64 { return l.Arena().Stats().Faults }, threads, dur)
-	l.Drain()
+	faults := b.Faults() + panics
+	b.Drain()
 	return faults, ops
 }
 
-func stressMap(s bench.Scheme, threads int, dur time.Duration) (int64, int64) {
-	opts := []hashmap.Option{hashmap.WithChecked(true),
-		hashmap.WithMaxThreads(capFor(threads)), hashmap.WithBuckets(32)}
-	if byteSizer != nil {
-		opts = append(opts, hashmap.WithByteValues(byteSizer))
-	}
-	m := hashmap.New(s.Make, opts...)
-	faults, ops := churnSet(m, func() int64 { return m.Arena().Stats().Faults }, threads, dur)
-	m.Drain()
-	return faults, ops
-}
-
-func stressBST(s bench.Scheme, threads int, dur time.Duration) (int64, int64) {
-	opts := []bst.Option{bst.WithChecked(true), bst.WithMaxThreads(capFor(threads))}
-	if byteSizer != nil {
-		opts = append(opts, bst.WithByteValues(byteSizer))
-	}
-	t := bst.New(s.Make, opts...)
-	faults, ops := churnSet(t, func() int64 { return t.Arena().Stats().Faults }, threads, dur)
-	t.Drain()
-	return faults, ops
-}
-
-// stressRoles drives threads workers, each on its own session from
-// register, running op until dur elapses; op gets the worker's index and
-// its operation count, so each structure picks its own op mix. faults
-// counts the detected faults and drain tears the structure down.
-func stressRoles[S interface{ Unregister() }](threads int, dur time.Duration,
-	register func() S, op func(s S, w int, i int64), faults func() int64, drain func()) (int64, int64) {
+// drive runs threads workers until dur elapses. open gets a worker's index,
+// opens its session and returns its step (called with the worker's
+// operation count) and the session's close. drive returns the faults the
+// workers panicked with and the operations they ran.
+func drive(threads int, dur time.Duration, open func(w int) (step func(i int64), done func())) (int64, int64) {
 	var stop atomic.Bool
 	var panics atomic.Int64
 	var ops atomic.Int64
@@ -343,12 +193,12 @@ func stressRoles[S interface{ Unregister() }](threads int, dur time.Duration,
 		go func(w int) {
 			defer wg.Done()
 			defer guard(&panics, &stop)
-			s := register()
-			defer s.Unregister()
+			step, done := open(w)
+			defer done()
 			var local int64
 			defer func() { ops.Add(local) }()
 			for !stop.Load() {
-				op(s, w, local)
+				step(local)
 				local++
 			}
 		}(w)
@@ -356,55 +206,63 @@ func stressRoles[S interface{ Unregister() }](threads int, dur time.Duration,
 	time.Sleep(dur)
 	stop.Store(true)
 	wg.Wait()
-	f := faults() + panics.Load()
-	drain()
-	return f, ops.Load()
+	return panics.Load(), ops.Load()
 }
 
-// stressQueue runs even workers as producers and odd ones as consumers.
-func stressQueue(s bench.Scheme, threads int, dur time.Duration) (int64, int64) {
-	q := queue.New(s.Make, queue.WithChecked(true), queue.WithMaxThreads(capFor(threads)))
-	return stressRoles(threads, dur, q.Register, func(g *smr.Guard, w int, i int64) {
-		if w%2 == 0 {
-			q.Enqueue(g, uint64(i))
-		} else {
-			q.Dequeue(g)
-		}
-	}, func() int64 { return q.Arena().Stats().Faults }, q.Drain)
-}
-
-// stressStack alternates every worker between push and pop.
-func stressStack(s bench.Scheme, threads int, dur time.Duration) (int64, int64) {
-	st := stack.New(s.Make, stack.WithChecked(true), stack.WithMaxThreads(capFor(threads)))
-	return stressRoles(threads, dur, st.Register, func(g *smr.Guard, w int, i int64) {
-		if (int64(w)+i)%2 == 0 {
-			st.Push(g, uint64(i))
-		} else {
-			st.Pop(g)
-		}
-	}, func() int64 { return st.Arena().Stats().Faults }, st.Drain)
-}
-
-// stressWFQueue runs the queue's producer/consumer split on the wait-free
-// queue; faults sum both of its arenas.
-func stressWFQueue(s bench.Scheme, threads int, dur time.Duration) (int64, int64) {
-	q := wfqueue.New(s.Make, wfqueue.WithChecked(true), wfqueue.WithMaxThreads(capFor(threads)))
-	return stressRoles(threads, dur, q.Register, func(h *wfqueue.Handle, w int, i int64) {
-		if w%2 == 0 {
-			q.Enqueue(h, uint64(i))
-		} else {
-			q.Dequeue(h)
-		}
-	}, func() int64 { return q.NodeArena().Stats().Faults + q.DescArena().Stats().Faults }, q.Drain)
-}
-
-func stressSkipList(s bench.Scheme, threads int, dur time.Duration) (int64, int64) {
-	opts := []skiplist.Option{skiplist.WithChecked(true), skiplist.WithMaxThreads(capFor(threads))}
-	if byteSizer != nil {
-		opts = append(opts, skiplist.WithByteValues(byteSizer))
+// churnSet drives a set with a 30%-update mix (or the -phases schedule)
+// over 256 keys; with byte values, half the lookups copy the payload out,
+// so stale payload protection is under test alongside node protection.
+func churnSet(s bench.Set, bytes bool, threads int, dur time.Duration) (int64, int64) {
+	const keyRange = 256
+	bg, _ := s.(interface {
+		GetBytes(g *smr.Guard, key uint64) ([]byte, bool)
+	})
+	setup := s.Register()
+	for k := uint64(0); k < keyRange; k++ {
+		s.Insert(setup, k, k)
 	}
-	sl := skiplist.New(s.Make, opts...)
-	faults, ops := churnSet(sl, func() int64 { return sl.Arena().Stats().Faults }, threads, dur)
-	sl.Drain()
-	return faults, ops
+	setup.Unregister()
+
+	var stop atomic.Bool
+	var scheduleDone <-chan struct{}
+	if stressPhases != nil {
+		scheduleDone = runPhaseSchedule(s, &stop)
+	}
+	panics, ops := drive(threads, dur, func(w int) (func(int64), func()) {
+		h := s.Register()
+		rng := bench.NewSplitMix64(uint64(w) + 1)
+		return func(int64) {
+			k := rng.Intn(keyRange)
+			switch {
+			case rng.Intn(100) < uint64(stressUpdatePct.Load()):
+				if s.Remove(h, k) {
+					s.Insert(h, k, k)
+				}
+			case bytes && bg != nil && rng.Intn(2) == 0:
+				bg.GetBytes(h, k)
+			default:
+				s.Contains(h, k)
+			}
+		}, h.Unregister
+	})
+	stop.Store(true)
+	if scheduleDone != nil {
+		<-scheduleDone
+	}
+	return panics, ops
+}
+
+// roles is the FIFO/LIFO worker body: on a FIFO row even workers enqueue
+// and odd ones dequeue; on a LIFO row every worker alternates push and pop.
+func roles(b bench.Built, kind bench.Kind) func(w int) (func(int64), func()) {
+	return func(w int) (func(int64), func()) {
+		push, pop, done := b.Open()
+		return func(i int64) {
+			if kind == bench.KindFIFO && w%2 == 0 || kind == bench.KindLIFO && (int64(w)+i)%2 == 0 {
+				push(uint64(i))
+			} else {
+				pop()
+			}
+		}, done
+	}
 }

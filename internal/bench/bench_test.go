@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/list"
 	"repro/internal/reclaim"
 	"repro/smr"
 )
@@ -100,7 +101,7 @@ func TestRunCellAllSchemes(t *testing.T) {
 }
 
 func TestPrefillSizes(t *testing.T) {
-	l := Env{}.newList(Of(smr.HE), 4)
+	l := list.New(smr.HE.Factory(), list.WithMaxThreads(4))
 	Prefill(l, 500)
 	if got := l.Len(); got != 500 {
 		t.Fatalf("Len = %d, want 500", got)

@@ -88,36 +88,17 @@ func (o Options) emit(w io.Writer, t *Table) {
 	}
 }
 
-func maxThreadsOf(threads []int) int {
-	m := 1
-	for _, t := range threads {
-		if t > m {
-			m = t
-		}
-	}
-	return m + 2 // margin for setup thread and a stalled reader
-}
-
-// newList builds a list under s in e: e wraps the scheme, and e.ValSizer
-// switches the list into byte-value mode.
-func (e Env) newList(s Scheme, threads int) *list.List {
-	opts := []list.Option{list.WithMaxThreads(threads)}
-	if e.ValSizer != nil {
-		opts = append(opts, list.WithByteValues(e.ValSizer))
-	}
-	return list.New(e.Wrap(s).Make, opts...)
-}
-
-// RunCell builds a fresh list under scheme s in e, pre-fills it, runs one
-// cell of the paper's grid, and tears everything down.
+// RunCell builds a fresh list under scheme s in e (e.ValSizer switches it
+// into byte-value mode), pre-fills it, runs one cell of the paper's grid,
+// and tears everything down.
 func (e Env) RunCell(s Scheme, w Workload, dur time.Duration, seed uint64) Result {
 	capacity := w.Threads + 2
 	if w.Grow {
 		capacity = 2
 	}
-	l := e.newList(s, capacity)
-	Prefill(l, w.Size)
-	res := RunSet(l, w, dur, seed)
+	l := Struct("list").New(e.Wrap(s).Make, false, capacity, e.ValSizer)
+	Prefill(l.Set, w.Size)
+	res := RunSet(l.Set, w, dur, seed)
 	l.Drain()
 	return res
 }
@@ -363,13 +344,9 @@ func MinMax(w io.Writer, o Options) {
 		t := NewTable("scheme", "Mops", "ratio vs HP", "peak pending")
 		var hpMops float64
 		for _, s := range schemesOf(smr.HP, smr.HE, smr.HEMinMax) {
-			trOpts := []bst.Option{bst.WithMaxThreads(o.capFor(th + 2))}
-			if o.Env.ValSizer != nil {
-				trOpts = append(trOpts, bst.WithByteValues(o.Env.ValSizer))
-			}
-			tr := bst.New(o.Env.Wrap(s).Make, trOpts...)
-			Prefill(tr, size)
-			res := RunSet(tr, Workload{Size: size, UpdatePercent: upd, Threads: th}, o.Dur, o.Seed)
+			tr := Struct("bst").New(o.Env.Wrap(s).Make, false, o.capFor(th+2), o.Env.ValSizer)
+			Prefill(tr.Set, size)
+			res := RunSet(tr.Set, Workload{Size: size, UpdatePercent: upd, Threads: th}, o.Dur, o.Seed)
 			tr.Drain()
 			if s.Name == "HP" {
 				hpMops = res.MopsPerSec

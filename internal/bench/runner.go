@@ -11,12 +11,14 @@ import (
 )
 
 // Set is the structure interface the harness drives — satisfied by
-// list.List, hashmap.Map, bst.Tree and skiplist.SkipList. Register opens
+// list.List, hashmap.Map, bst.Tree and skiplist.SkipList. Get returns a
+// key's value, decoded from its payload in byte-value mode. Register opens
 // a worker's session; Domain names the scheme and reads its accounting.
 type Set interface {
 	Insert(g *smr.Guard, key, val uint64) bool
 	Remove(g *smr.Guard, key uint64) bool
 	Contains(g *smr.Guard, key uint64) bool
+	Get(g *smr.Guard, key uint64) (uint64, bool)
 	Register() *smr.Guard
 	Domain() smr.Backend
 }

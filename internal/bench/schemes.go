@@ -53,24 +53,6 @@ func ParseSchemes(spec string) ([]smr.Scheme, error) {
 	return out, nil
 }
 
-// RCUnsafe reports whether reference counting is excluded on the named
-// structure. Valois slot-level counts are unsound for true reclamation on
-// structures whose deleted interior cells stay frozen (list-shaped
-// traversals: the Harris list and the map, tree and skip list built the
-// same way; paper §1 on [28]). The wait-free queue is excluded too: its
-// helping protocol hands descriptor refs between threads through the
-// announcement array, and slot-level counts cannot distinguish slot
-// incarnations across the recycle a helper races with (FAULT-WFQ-RC-001,
-// reproduced in internal/wfqueue). Every driver that pairs RC with a
-// structure consults this one declaration.
-func RCUnsafe(structure string) bool {
-	switch structure {
-	case "list", "map", "bst", "wfq", "skiplist":
-		return true
-	}
-	return false
-}
-
 // The parameterized ablation variants below need scheme-specific options,
 // so they are built here rather than registered in smr.
 

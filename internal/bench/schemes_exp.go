@@ -184,17 +184,17 @@ func rosterMedians(env Env, slices, sliceIters int, schemes []Scheme,
 }
 
 // rosterWorkloads is the benchmark grid of SchemesCompare. RC is excluded
-// from ListOps (RCUnsafe: unguarded refcount traversal is unsafe on the
-// Harris list) and both baselines are excluded from RetireScan (NONE never
-// frees, so a long run grows without bound; RC frees at release time, so
-// its "retire" is not comparable work).
+// from ListOps (the list row does not admit it: unguarded refcount
+// traversal is unsafe on the Harris list) and both baselines are excluded
+// from RetireScan (NONE never frees, so a long run grows without bound; RC
+// frees at release time, so its "retire" is not comparable work).
 func rosterWorkloads() []rosterWorkload {
 	var reclaiming, listSafe []Scheme
 	for _, s := range smr.Schemes() {
 		if s != smr.RC && s != smr.None {
 			reclaiming = append(reclaiming, Of(s))
 		}
-		if s != smr.RC || !RCUnsafe("list") {
+		if Struct("list").Admits(s) {
 			listSafe = append(listSafe, Of(s))
 		}
 	}

@@ -17,6 +17,8 @@
 // the substitution. Like internal/list, the tree is written entirely
 // against the public smr API; writers walk with Atomic.Peek and
 // Domain.DerefQuiescent, because the writer mutex serializes every retirer.
+// They take it through schedtest.Lock, so a writer waiting on it under a
+// deterministic schedule hands the token on instead of blocking.
 //
 // Reader validation protocol per descent step (same anchor-re-validation
 // argument as the Michael-Scott queue): protect the child read from
@@ -246,7 +248,7 @@ func (t *Tree) InsertBytes(g *smr.Guard, key uint64, raw []byte) bool {
 
 func (t *Tree) insert(g *smr.Guard, key, val uint64, raw []byte) bool {
 	d := t.d
-	t.mu.Lock()
+	schedtest.Lock(&t.mu)
 	defer t.mu.Unlock()
 
 	if t.root.Peek().IsNil() {
@@ -317,7 +319,7 @@ func (t *Tree) newLeaf(g *smr.Guard, key, val uint64, raw []byte) smr.Ptr[Node] 
 // HE-minmax's O(threads x 2).
 func (t *Tree) Remove(g *smr.Guard, key uint64) bool {
 	d := t.d
-	t.mu.Lock()
+	schedtest.Lock(&t.mu)
 	defer t.mu.Unlock()
 
 	cur := t.root.Peek()

@@ -22,12 +22,11 @@ import (
 // both re-checks pass and the payload is read after its free: under HP the
 // checked arena faults. The domain scans on every retire.
 //
-// There is one writer because Remove holds the tree lock across its gates,
-// and a second writer blocked on that lock would stall the schedule.
+// There is one writer, so Remove(2) precedes Remove(0) in every schedule.
 func TestScheduleReaderAnchorsInUnlinkedNodes(t *testing.T) {
 	sizer := func(key uint64) int { return 32 }
 	for _, s := range smr.Schemes() {
-		if s == smr.RC && bench.RCUnsafe("bst") {
+		if !bench.Struct("bst").Admits(s) {
 			continue
 		}
 		t.Run(s.String(), func(t *testing.T) {

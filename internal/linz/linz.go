@@ -5,7 +5,7 @@
 //
 // The reclamation schemes in this repository guard MEMORY safety; this
 // package closes the other half of the correctness argument: that the
-// structures built on them (list, hash map, queue, stack) still implement
+// structures built on them (the sets, queue and stack) still implement
 // their sequential specification under every scheme — a reclamation bug
 // that silently corrupts a node (ABA, premature reuse) surfaces here as a
 // non-linearizable history even when no generation check fires.

@@ -54,9 +54,10 @@ const (
 	PointFree
 	// PointCAS guards data-structure linearization points (list
 	// unlink/insert, queue head/tail swings, stack top, wfqueue
-	// announcement and descriptor replacement, the BST's unlink store) and
-	// the BST reader's descent windows between reading an edge and
-	// re-validating the anchor that led to it.
+	// announcement and descriptor replacement, the BST's unlink store, the
+	// skip list's mark and unlink stores) and the BST and skip-list readers'
+	// windows between reading an edge or publishing a payload and
+	// re-validating what led to it.
 	PointCAS
 	// PointSpin marks blocking wait loops (URCU Synchronize). The
 	// controller ALWAYS reschedules at a spin gate — the waiter needs
@@ -109,6 +110,22 @@ func Point(k Kind) {
 func pointSlow(k Kind) {
 	if c := active.Load(); c != nil {
 		c.point(k)
+	}
+}
+
+// Lock takes mu for a writer that may run under a controller. A worker
+// blocked in mu.Lock would wait outside every gate while the holder waits
+// for the token, so under a controller Lock spins TryLock through a
+// PointSpin gate, which always hands the token on; otherwise, and once a
+// schedule has aborted into free run, it is mu.Lock().
+func Lock(mu *sync.Mutex) {
+	for !mu.TryLock() {
+		c := active.Load()
+		if c == nil || c.freeRun.Load() {
+			mu.Lock()
+			return
+		}
+		c.point(PointSpin)
 	}
 }
 

@@ -2,6 +2,7 @@ package schedtest
 
 import (
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -188,5 +189,36 @@ func TestOracleOverwriteAndDropAll(t *testing.T) {
 	o2.FreeGuard(r1)
 	if n := len(o2.Violations()); n != 1 {
 		t.Fatalf("DropAll left a hold behind: %v", o2.Violations())
+	}
+}
+
+// TestLockHolderParksInsideCriticalSection has two workers contend for one
+// mutex while the holder parks at a gate inside its critical section: the
+// waiter must hand the token back instead of blocking outside every gate,
+// both must finish, and the lock must still exclude.
+func TestLockHolderParksInsideCriticalSection(t *testing.T) {
+	for seed := uint64(1); seed <= 32; seed++ {
+		var mu sync.Mutex
+		inside, entered := false, 0
+		writer := func() {
+			for i := 0; i < 3; i++ {
+				Lock(&mu)
+				if inside {
+					t.Errorf("seed %d: two workers inside the critical section", seed)
+				}
+				inside = true
+				entered++
+				Point(PointCAS)
+				inside = false
+				mu.Unlock()
+				Point(PointCAS)
+			}
+		}
+		if err := Run(Config{Seed: seed, SwitchPct: 100}, writer, writer); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if entered != 6 {
+			t.Fatalf("seed %d: %d critical sections ran, want 6", seed, entered)
+		}
 	}
 }

@@ -16,7 +16,9 @@
 // links bottom-up so a node appears atomically at level 0 (its
 // linearization point); Remove unlinks top-down and retires only after the
 // node is off every level, so the reader-side validation invariant holds:
-// a node reachable from a validated edge has not been retired.
+// a node reachable from a validated edge has not been retired. Writers
+// take the mutex through schedtest.Lock, so a writer waiting on it under a
+// deterministic schedule hands the token on instead of blocking.
 //
 // Reader validation protocol per step: Remove first MARKS every level cell
 // of the victim's tower (the Harris mark bit) and only then unlinks it, so
@@ -30,6 +32,7 @@ package skiplist
 import (
 	"sync"
 
+	"repro/internal/schedtest"
 	"repro/smr"
 )
 
@@ -200,6 +203,7 @@ retry:
 					break
 				}
 				next := cn.Next[level].Load(g, sn)
+				schedtest.Point(schedtest.PointCAS)
 				// A marked load means curr's tower is being (or has been)
 				// deleted: its cells will never change again, so only the
 				// mark reveals the staleness.
@@ -235,6 +239,7 @@ retry:
 				cell = &prev.Next[level]
 			}
 			curr = cell.Load(g, sc)
+			schedtest.Point(schedtest.PointCAS)
 			if curr.Marked() {
 				continue retry // prev's tower is being deleted
 			}
@@ -272,6 +277,7 @@ func (s *SkipList) get(g *smr.Guard, key uint64, mode int) (val uint64, buf []by
 		// yet happened, so the retirer's scan is obligated to honor this
 		// hold.
 		pRef := cn.Val.Load(g, sn)
+		schedtest.Point(schedtest.PointCAS)
 		if cn.Next[0].Peek().Marked() {
 			continue
 		}
@@ -333,7 +339,7 @@ func (s *SkipList) InsertBytes(g *smr.Guard, key uint64, raw []byte) bool {
 
 func (s *SkipList) insert(g *smr.Guard, key, val uint64, raw []byte) bool {
 	d := s.d
-	s.mu.Lock()
+	schedtest.Lock(&s.mu)
 	defer s.mu.Unlock()
 	preds, found := s.findPreds(key)
 	if !found.IsNil() {
@@ -376,7 +382,7 @@ func (s *SkipList) insert(g *smr.Guard, key, val uint64, raw []byte) bool {
 // is retired only once it is unreachable from every level, which is the
 // precondition the reader-side validation relies on.
 func (s *SkipList) Remove(g *smr.Guard, key uint64) bool {
-	s.mu.Lock()
+	schedtest.Lock(&s.mu)
 	defer s.mu.Unlock()
 	preds, found := s.findPreds(key)
 	if found.IsNil() {
@@ -387,11 +393,13 @@ func (s *SkipList) Remove(g *smr.Guard, key uint64) bool {
 	// reader that loads through the dying node sees the mark and restarts.
 	for l := n.Level - 1; l >= 0; l-- {
 		n.Next[l].Store(n.Next[l].Peek().WithMark())
+		schedtest.Point(schedtest.PointCAS)
 	}
 	// Phase 2: unlink top-down; level 0 is the linearization point.
 	for l := n.Level - 1; l >= 0; l-- {
 		if preds[l].Peek() == found {
 			preds[l].Store(n.Next[l].Peek().Unmarked())
+			schedtest.Point(schedtest.PointCAS)
 		}
 	}
 	// Payload before node: the ref must be read before the node can be
@@ -475,7 +483,7 @@ func (s *SkipList) rangeSegment(g *smr.Guard, cursor, to uint64, fn func(key, va
 
 // Len reports the element count; writers maintain it under mu.
 func (s *SkipList) Len() int {
-	s.mu.Lock()
+	schedtest.Lock(&s.mu)
 	defer s.mu.Unlock()
 	return s.size
 }

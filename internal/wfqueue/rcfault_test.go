@@ -9,9 +9,9 @@ import (
 )
 
 // TestRCStaleDescriptorFault demonstrates FAULT-WFQ-RC-001, the reason the
-// wait-free queue is RC-excluded by bench.RCUnsafe, the one exclusion
-// declaration cmd/hestress consults (hecheck's struct matrix does not
-// include the queue at all): the helping protocol hands descriptor refs
+// wait-free queue's row in the structure table (internal/bench/structs.go)
+// does not admit RC, the one exclusion cmd/hestress consults (hecheck's
+// struct matrix does not include the queue at all): the helping protocol hands descriptor refs
 // between threads through the announcement array, and Valois slot-level
 // counts cannot distinguish slot incarnations across a recycle the helper
 // races with. A helper that read a cell just before replaceDesc swaps it
@@ -26,7 +26,7 @@ import (
 // a regression gate — so the test is skipped by default. Remove the Skip
 // to reproduce the fault class and obtain a replayable seed.
 func TestRCStaleDescriptorFault(t *testing.T) {
-	t.Skip("FAULT-WFQ-RC-001: wfqueue+RC is a known-unsound combination (see bench.RCUnsafe); unskip to demonstrate")
+	t.Skip("FAULT-WFQ-RC-001: wfqueue+RC is a known-unsound combination (see the wfq row of bench.Structures); unskip to demonstrate")
 
 	const workers = 3
 
