@@ -176,18 +176,25 @@ func TestConcurrentReadersWithChurningWriter(t *testing.T) {
 			}
 			setup.Unregister()
 
+			// The writer starts only once every reader has finished one
+			// operation, so every run overlaps them.
+			const readers = 6
 			var stop atomic.Bool
-			var wg sync.WaitGroup
-			for r := 0; r < 6; r++ {
+			var wg, ready sync.WaitGroup
+			ready.Add(readers)
+			for r := 0; r < readers; r++ {
 				wg.Add(1)
 				go func(seed int64) {
 					defer wg.Done()
 					h := tr.Register()
 					defer h.Unregister()
 					rng := rand.New(rand.NewSource(seed))
-					for !stop.Load() {
+					for first := true; first || !stop.Load(); first = false {
 						k := uint64(rng.Intn(keyRange)) * 2654435761
 						tr.Contains(h, k)
+						if first {
+							ready.Done()
+						}
 					}
 				}(int64(r) + 1)
 			}
@@ -196,6 +203,7 @@ func TestConcurrentReadersWithChurningWriter(t *testing.T) {
 				defer wg.Done()
 				h := tr.Register()
 				defer h.Unregister()
+				ready.Wait()
 				rng := rand.New(rand.NewSource(99))
 				for i := 0; i < iters; i++ {
 					k := uint64(rng.Intn(keyRange)) * 2654435761

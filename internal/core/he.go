@@ -181,21 +181,24 @@ func (d *Eras) BeginOp(h *reclaim.Handle) {}
 func (d *Eras) EndOp(h *reclaim.Handle) { d.Clear(h) }
 
 // Clear resets every hazard era of the session to NONE. Wait-free bounded.
+// In standard mode it stores only the cells this operation published: an
+// index whose every load was nil holds NONE already and costs no store.
 func (d *Eras) Clear(h *reclaim.Handle) {
-	if d.minMax {
-		if h.Lo != noneEra {
-			h.Words[0].Store(noneEra)
-			if len(h.Words) > 1 {
-				h.Words[1].Store(noneEra)
-			}
-			h.Lo, h.Hi = noneEra, noneEra
-		}
-	} else {
-		for i := range h.Held {
-			if h.Held[i] != noneEra {
+	if !d.minMax {
+		for i, era := range h.Held {
+			if era != noneEra {
 				h.Words[i].Store(noneEra)
+				h.Held[i] = noneEra
 			}
 		}
+		return
+	}
+	if h.Lo != noneEra {
+		h.Words[0].Store(noneEra)
+		if len(h.Words) > 1 {
+			h.Words[1].Store(noneEra)
+		}
+		h.Lo, h.Hi = noneEra, noneEra
 	}
 	for i := range h.Held {
 		h.Held[i] = noneEra

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/list"
 	"repro/smr"
 )
 
@@ -195,5 +196,87 @@ func TestUpdateAllocatesNothing(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(1000, update); avg != 0 {
 		t.Errorf("map Remove+Insert allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// TestChurnPublishesNoMoreThanHP drives the heperf churn step, one session
+// removing and reinserting keys that each sit alone in their bucket, under
+// HE and HP with an Instrument attached. A one-node chain's tail link is
+// nil, and so is the emptied bucket the reinsert reads: HE returns both
+// unpublished, as HP does, so its publishing stores per update are at
+// most HP's. It also pins the two facts that bound that count: a Load of
+// a nil cell leaves the session's published cells as they were, and EndOp
+// leaves every cell at NONE (0), so the next operation publishes afresh
+// only the cells it dereferences through.
+func TestChurnPublishesNoMoreThanHP(t *testing.T) {
+	const nkeys, updates = 64, 4096
+	perUpdate := map[smr.Scheme]float64{}
+	for _, s := range []smr.Scheme{smr.HE, smr.HP} {
+		ins := smr.NewInstrument(4)
+		mk := func(alloc smr.Allocator, cfg smr.Config) smr.Backend {
+			cfg.Instrument = ins
+			return s.Factory()(alloc, cfg)
+		}
+		m := New(mk, WithMaxThreads(4), WithBuckets(8192))
+		g := m.Register()
+		// Keys with a bucket each, so every chain has one node.
+		var keys []uint64
+		used := map[uint64]bool{}
+		for k := uint64(0); len(keys) < nkeys; k++ {
+			if b := m.hash(k); !used[b] {
+				used[b] = true
+				keys = append(keys, k)
+				m.Insert(g, k, k)
+			}
+		}
+		update := func(i int) {
+			k := keys[i%nkeys]
+			if !m.Remove(g, k) || !m.Insert(g, k, k) {
+				t.Fatalf("%s: update of key %d failed", s, k)
+			}
+		}
+		for i := 0; i < updates; i++ { // warm up: scans and era moves settle
+			update(i)
+		}
+		ins.Reset()
+		for i := 0; i < updates; i++ {
+			update(i)
+		}
+		perUpdate[s] = float64(ins.Snapshot().Stores) / updates
+
+		words := g.Handle().Words
+		for i := range words {
+			if w := words[i].Load(); w != 0 {
+				t.Errorf("%s: cell %d holds %d after EndOp, want 0", s, i, w)
+			}
+		}
+		// Publish the bucket head's era (or pointer) on index 0, then load
+		// a nil cell on every index: no published cell may change.
+		var nilCell smr.Atomic[list.Node]
+		g.BeginOp()
+		if m.bucketFor(keys[0]).Load(g, 0).IsNil() {
+			t.Fatalf("%s: bucket of key %d is empty", s, keys[0])
+		}
+		before := make([]uint64, len(words))
+		for i := range words {
+			before[i] = words[i].Load()
+		}
+		for i := 0; i < list.Slots; i++ {
+			if !nilCell.Load(g, i).IsNil() {
+				t.Fatalf("%s: nil cell loaded non-nil on index %d", s, i)
+			}
+		}
+		for i := range words {
+			if w := words[i].Load(); w != before[i] {
+				t.Errorf("%s: a nil Load moved cell %d from %d to %d", s, i, before[i], w)
+			}
+		}
+		g.EndOp()
+		g.Unregister()
+		m.Drain()
+	}
+	t.Logf("publishing stores per update: HE %.3f, HP %.3f", perUpdate[smr.HE], perUpdate[smr.HP])
+	if perUpdate[smr.HE] > perUpdate[smr.HP] {
+		t.Errorf("HE made %.3f publishing stores per update, HP %.3f: want HE <= HP", perUpdate[smr.HE], perUpdate[smr.HP])
 	}
 }

@@ -82,11 +82,13 @@ func MakeClassRef(class int, index uint64, gen uint32) Ref {
 
 // IsNil reports whether r refers to no slot. Index 0 is reserved as nil in
 // every class and no ref with a class but no index is ever minted, so a
-// single shift-compare covers all layouts — the class nibble rides along in
-// the high bits and is zero exactly when the whole field is. The mark bit
-// is ignored, so a marked nil — which never occurs in well-formed
-// structures — is still nil.
-func (r Ref) IsNil() bool { return r>>idxShift == 0 }
+// single unsigned compare covers all layouts — the class nibble rides along
+// in the high bits and is zero exactly when the whole field is. The mark
+// bit is ignored, so a marked nil — which never occurs in well-formed
+// structures — is still nil. It is written as a compare, not as
+// r>>idxShift == 0, because the compare fuses with its branch and leaves r
+// in its register; the test runs on every protected load.
+func (r Ref) IsNil() bool { return r < 1<<idxShift }
 
 // Index extracts the slot index of a class-0 (typed arena) ref. It is a
 // bare shift — the class nibble is zero for every ref the typed arena

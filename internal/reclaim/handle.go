@@ -219,7 +219,8 @@ func (h *Handle) EndOp() { h.dom.EndOp(h) }
 // (the era is unchanged) that is the two seq-cst loads and no store the
 // paper counts per node, and no call leaves this function. Only a moved
 // clock calls the scheme, to publish the new era before the loop re-reads
-// *src. Every other scheme is reached by interface dispatch.
+// *src. A nil reference returns straight after its load, with no era
+// published. Every other scheme is reached by interface dispatch.
 //
 // A probe, when attached, counts the era loop's visit and loads and gives
 // a sampled ref its lifecycle protect event.
@@ -235,9 +236,19 @@ func (h *Handle) Protect(index int, src *atomic.Uint64) mem.Ref {
 	var ptr mem.Ref
 	if clock != nil {
 		prevEra := h.Held[index]
-		loops := int64(1)
+		loops, loads := int64(1), int64(0)
 		for {
 			ptr = mem.Ref(src.Load())
+			if ptr.IsNil() {
+				// A nil link cannot be dereferenced, so it needs no era:
+				// it comes back unpublished, as HP's Protect returns it,
+				// and Held and Words keep what this index already holds.
+				if p == nil {
+					return ptr
+				}
+				loads = 2*loops - 1 // no clock load on this iteration
+				break
+			}
 			// The window this gate exposes: the reference is read but the
 			// era that will protect it is not yet validated/published.
 			schedtest.Point(schedtest.PointProtect)
@@ -246,6 +257,7 @@ func (h *Handle) Protect(index int, src *atomic.Uint64) mem.Ref {
 				if p == nil {
 					return ptr // unwatched: nothing to count
 				}
+				loads = 2 * loops
 				break
 			}
 			h.base.EraPublish(h, index, era)
@@ -253,9 +265,10 @@ func (h *Handle) Protect(index int, src *atomic.Uint64) mem.Ref {
 			loops++
 		}
 		// Counted once the loop is done, so the loop itself tests nothing
-		// but the era: one visit, and two seq-cst loads per iteration.
+		// but the reference and the era: one visit, and two seq-cst loads
+		// per iteration, one for a nil.
 		p.insVisit()
-		p.insLoads(2 * loops)
+		p.insLoads(loads)
 	} else {
 		ptr = h.dom.Protect(h, index, src)
 	}

@@ -223,21 +223,28 @@ func TestConcurrentReadersWithChurningWriter(t *testing.T) {
 			}
 			setup.Unregister()
 
+			// The writer starts only once every reader has finished one
+			// operation, so every run overlaps them.
+			const readers = 5
 			var stop atomic.Bool
-			var wg sync.WaitGroup
-			for r := 0; r < 5; r++ {
+			var wg, ready sync.WaitGroup
+			ready.Add(readers)
+			for r := 0; r < readers; r++ {
 				wg.Add(1)
 				go func(seed int64) {
 					defer wg.Done()
 					h := s.Register()
 					defer h.Unregister()
 					rng := rand.New(rand.NewSource(seed))
-					for !stop.Load() {
+					for first := true; first || !stop.Load(); first = false {
 						k := uint64(rng.Intn(keyRange))
 						if rng.Intn(4) == 0 {
 							s.Range(h, k, k+16, func(uint64, uint64) bool { return true })
 						} else {
 							s.Contains(h, k)
+						}
+						if first {
+							ready.Done()
 						}
 					}
 				}(int64(r) + 1)
@@ -247,6 +254,7 @@ func TestConcurrentReadersWithChurningWriter(t *testing.T) {
 				defer wg.Done()
 				h := s.Register()
 				defer h.Unregister()
+				ready.Wait()
 				rng := rand.New(rand.NewSource(99))
 				for i := 0; i < iters; i++ {
 					k := uint64(rng.Intn(keyRange))

@@ -328,13 +328,19 @@ func (d *Domain) Clear(h *reclaim.Handle) {
 
 // Protect is HE's get_protected with the retry bound that makes it
 // wait-free: the usual load/validate/republish fast path for up to
-// maxTries rounds, then the announcement slow path.
+// maxTries rounds, then the announcement slow path. A nil load returns at
+// once, before either, with no era published.
 func (d *Domain) Protect(h *reclaim.Handle, index int, src *atomic.Uint64) mem.Ref {
 	prevEra := h.Held[index]
 	h.InsVisit()
 	for try := 0; try < d.maxTries; try++ {
 		ptr := mem.Ref(src.Load())
 		h.InsLoad()
+		if ptr.IsNil() {
+			// Nothing to protect, and no era or announcement is needed to
+			// say so: a nil link cannot be dereferenced.
+			return ptr
+		}
 		// The window this gate exposes: the reference is read but the era
 		// that will protect it is not yet validated/published.
 		schedtest.Point(schedtest.PointProtect)

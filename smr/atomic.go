@@ -50,8 +50,10 @@ type Atomic[T any] struct{ v atomic.Uint64 }
 // Load returns *a under protection index i of g's session — the paper's
 // get_protected(tid, i, &a): the scheme publishes an era (HE/IBR) or the
 // loaded pointer (HP) before returning, so the referent cannot be
-// reclaimed until the guard's EndOp. Panics outside an operation window,
-// because the protection would be silently worthless there.
+// reclaimed until the guard's EndOp. A nil (marked or not) comes back
+// unpublished under HP, HE and WFE: there is nothing to dereference, and
+// index i keeps whatever it protected before. Panics outside an operation
+// window, because the protection would be silently worthless there.
 func (a *Atomic[T]) Load(g *Guard, index int) Ptr[T] {
 	if g.state != guardInOp {
 		panic("smr: Atomic.Load" + msgNotInOp)
