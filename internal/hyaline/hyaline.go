@@ -353,7 +353,9 @@ func (d *Domain) decBatch(h *reclaim.Handle, b *batch) {
 // era cell (raising it monotonically); the plain variant is EBR's bare
 // load — activity alone protects, which is exactly what costs it
 // robustness. The index argument is ignored: one cell covers every pointer
-// the operation holds.
+// the operation holds. In the robust variant a nil link comes back straight
+// after its load, with no clock load and the cell as it was: it cannot be
+// dereferenced, so it needs no era (HE's and HP's Protect do the same).
 func (d *Domain) Protect(h *reclaim.Handle, index int, src *atomic.Uint64) mem.Ref {
 	h.InsVisit()
 	if !d.robust {
@@ -363,6 +365,9 @@ func (d *Domain) Protect(h *reclaim.Handle, index int, src *atomic.Uint64) mem.R
 	for {
 		ptr := mem.Ref(src.Load())
 		h.InsLoad()
+		if ptr.IsNil() {
+			return ptr
+		}
 		// The window this gate exposes: the reference is read but the era
 		// that will justify the handoff filter is not yet validated.
 		schedtest.Point(schedtest.PointProtect)

@@ -165,6 +165,34 @@ func TestEnsureCopyOnWrite(t *testing.T) {
 	}
 }
 
+// TestRobustNilLinkIsNotPublished: in the robust variant a nil link,
+// marked or not, costs its one load and nothing else: no clock load, no
+// store, and the era cell keeps what it held although the clock has moved.
+func TestRobustNilLinkIsNotPublished(t *testing.T) {
+	arena := testArena()
+	ins := reclaim.NewInstrument(2)
+	d := New(arena, reclaim.Config{MaxThreads: 2, Slots: 3, Instrument: ins})
+	h := d.Register()
+	d.BeginOp(h)
+	held := h.Words[0].Load()
+	d.eraClock.Store(held + 4)
+	for _, link := range []mem.Ref{mem.NilRef, mem.NilRef | mem.MarkBit} {
+		var cell atomic.Uint64
+		cell.Store(uint64(link))
+		ins.Reset()
+		if got := d.Protect(h, 0, &cell); got != link {
+			t.Fatalf("Protect returned %v, want %v", got, link)
+		}
+		if s := ins.Snapshot(); s.Visits != 1 || s.Loads != 1 || s.Stores != 0 {
+			t.Fatalf("nil link %v counted %+v, want 1 visit, 1 load, 0 stores", link, s)
+		}
+		if got := h.Words[0].Load(); got != held || h.Lo != held {
+			t.Fatalf("era cell published %d, mirror %d after a nil link, want %d", got, h.Lo, held)
+		}
+	}
+	d.EndOp(h)
+}
+
 // TestRobustFilterSkipsStalledReader is the scheme-local Figure-4 fact: a
 // reader whose published era predates every birth in a batch receives no
 // handoff, so churn retired past a stalled reader reclaims fully — while

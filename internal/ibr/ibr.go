@@ -126,12 +126,17 @@ func (d *Domain) EndOp(h *reclaim.Handle) {
 // interval's upper bound, extend the bound and reload — HE's Algorithm-2
 // loop against a single per-session cell. The index argument is ignored
 // (one interval covers every pointer the operation holds), which is the
-// defining difference from HP/HE.
+// defining difference from HP/HE. A nil link comes back straight after its
+// load, with no clock load and the interval as it was: it cannot be
+// dereferenced, so it needs no era (HE's and HP's Protect do the same).
 func (d *Domain) Protect(h *reclaim.Handle, index int, src *atomic.Uint64) mem.Ref {
 	h.InsVisit()
 	for {
 		ptr := mem.Ref(src.Load())
 		h.InsLoad()
+		if ptr.IsNil() {
+			return ptr
+		}
 		// The window this gate exposes: the reference is read but the
 		// interval's upper bound does not yet cover its era.
 		schedtest.Point(schedtest.PointProtect)

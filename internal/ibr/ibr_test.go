@@ -64,6 +64,33 @@ func TestProtectExtendsUpperOnly(t *testing.T) {
 	}
 }
 
+// TestNilLinkIsNotPublished: a nil link, marked or not, costs its one load
+// and nothing else: no clock load, no store, and the interval keeps the
+// upper bound it had although the clock has moved.
+func TestNilLinkIsNotPublished(t *testing.T) {
+	arena := testArena()
+	ins := reclaim.NewInstrument(2)
+	d := New(arena, reclaim.Config{MaxThreads: 2, Slots: 3, Instrument: ins})
+	h := d.Register()
+	d.BeginOp(h) // [1,1]
+	d.eraClock.Store(5)
+	for _, link := range []mem.Ref{mem.NilRef, mem.NilRef | mem.MarkBit} {
+		var cell atomic.Uint64
+		cell.Store(uint64(link))
+		ins.Reset()
+		if got := d.Protect(h, 0, &cell); got != link {
+			t.Fatalf("Protect returned %v, want %v", got, link)
+		}
+		if s := ins.Snapshot(); s.Visits != 1 || s.Loads != 1 || s.Stores != 0 {
+			t.Fatalf("nil link %v counted %+v, want 1 visit, 1 load, 0 stores", link, s)
+		}
+		if hi := h.Words[1].Load(); hi != 1 || h.Hi != 1 {
+			t.Fatalf("upper bound published %d, mirror %d after a nil link, want 1", hi, h.Hi)
+		}
+	}
+	d.EndOp(h)
+}
+
 func TestSingleIntervalCoversAllIndices(t *testing.T) {
 	arena := testArena()
 	ins := reclaim.NewInstrument(2)

@@ -27,13 +27,31 @@ const (
 	magazineSpill = MagazineSize / 2
 )
 
-// slot is one arena cell: SMR metadata, freelist linkage and the payload.
-type slot[T any] struct {
+// slotMeta is one slot's metadata cell: the SMR header and the freelist
+// linkage. It lives in its slab's meta array, apart from the value.
+type slotMeta struct {
 	hdr Header
 	// nextFree holds the Ref of the next free slot while this slot sits on
 	// the freelist; undefined while allocated.
 	nextFree atomic.Uint64
-	val      T
+}
+
+// slab is one published block of slabSize slots, stored as two parallel
+// arrays indexed alike. A traversal reads values only (keys and links), so
+// keeping each 48-byte metadata cell out of the value array packs the
+// values a walk touches into as few cache lines as their own size allows;
+// the metadata is read by the retirer, the scans and the freelist.
+type slab[T any] struct {
+	val  [slabSize]T
+	meta [slabSize]slotMeta
+}
+
+// slot is a by-value view of one arena cell: pointers to its metadata cell
+// and its value. Callers hold it in locals and never take its address, so
+// it stays in registers and costs no allocation.
+type slot[T any] struct {
+	*slotMeta
+	val *T
 }
 
 // Stats is a snapshot of arena accounting.
@@ -85,7 +103,7 @@ type Arena[T any] struct {
 	// installs it with a single CompareAndSwap, so growth is lock-free (see
 	// the publication-protocol comment in class.go — the byte classes use
 	// the identical scheme).
-	slabs [maxSlabs]atomic.Pointer[[slabSize]slot[T]]
+	slabs [maxSlabs]atomic.Pointer[slab[T]]
 
 	cursor   atomic.Uint64 // last never-recycled index handed out
 	freeHead atomic.Uint64 // Ref-encoded head of the lock-free freelist
@@ -191,18 +209,23 @@ func (a *Arena[T]) Checked() bool { return a.checked }
 // tracer's sampling point here.
 func (a *Arena[T]) SetAllocHook(fn func(shard int, ref Ref)) { a.allocHook = fn }
 
-// SlotBytes returns the memory footprint of one arena slot (header +
-// freelist link + value, including alignment padding). The observability
-// layer multiplies pending node counts by it to report pending bytes.
-func (a *Arena[T]) SlotBytes() uintptr { return unsafe.Sizeof(slot[T]{}) }
+// SlotBytes returns the memory footprint of one arena slot (metadata cell
+// + value). The observability layer multiplies pending node counts by it
+// to report pending bytes.
+func (a *Arena[T]) SlotBytes() uintptr {
+	return unsafe.Sizeof(slotMeta{}) + unsafe.Sizeof(*new(T))
+}
 
-func (a *Arena[T]) slotAt(index uint64) *slot[T] {
+// slotAt returns the view of slot index, or a view with nil pointers after
+// reporting a fault when its slab is unallocated.
+func (a *Arena[T]) slotAt(index uint64) slot[T] {
 	sl := a.slabs[index>>slabShift].Load()
 	if sl == nil {
 		a.fault(fmt.Sprintf("dereference of index %d in unallocated slab", index))
-		return nil
+		return slot[T]{}
 	}
-	return &sl[index&slabMask]
+	i := index & slabMask
+	return slot[T]{&sl.meta[i], &sl.val[i]}
 }
 
 func (a *Arena[T]) fault(msg string) {
@@ -224,7 +247,7 @@ func (a *Arena[T]) Alloc() (Ref, *T) {
 		if h := a.allocHook; h != nil {
 			h(-1, ref)
 		}
-		return ref, &s.val
+		return ref, s.val
 	}
 	ref, p := a.allocFresh()
 	a.noteAlloc()
@@ -268,11 +291,11 @@ func (a *Arena[T]) allocFresh() (Ref, *T) {
 	// Losers discard their slab and adopt the winner's; seq-cst publication
 	// means any thread holding an index into the slab sees it initialized.
 	if a.slabs[slabIdx].Load() == nil {
-		a.slabs[slabIdx].CompareAndSwap(nil, new([slabSize]slot[T]))
+		a.slabs[slabIdx].CompareAndSwap(nil, new(slab[T]))
 	}
 	s := a.slotAt(index)
 	s.hdr.resetForAlloc()
-	return MakeRef(index, s.hdr.Gen()), &s.val
+	return MakeRef(index, s.hdr.Gen()), s.val
 }
 
 func (a *Arena[T]) noteAlloc() {
@@ -312,7 +335,7 @@ func (a *Arena[T]) AllocAt(shard int) (Ref, *T) {
 	if h := a.allocHook; h != nil {
 		h(shard, ref)
 	}
-	return ref, &s.val
+	return ref, s.val
 }
 
 // FreeAt is Free into shard's private magazine, spilling half the magazine
@@ -440,7 +463,7 @@ func (a *Arena[T]) releaseSlot(ref Ref) (Ref, bool) {
 	}
 	g := s.hdr.gen.Add(1)
 	if a.poison != nil {
-		a.poison(&s.val)
+		a.poison(s.val)
 	}
 	// MakeRef masks the generation to GenModulus, so the full-width counter
 	// value can be packed directly — no reload through Gen() needed.
@@ -483,7 +506,7 @@ func (a *Arena[T]) Get(ref Ref) *T {
 	if !a.checked {
 		index := uint64(ref >> idxShift)
 		if sl := a.slabs[index>>slabShift].Load(); sl != nil {
-			return &sl[index&slabMask].val
+			return &sl.val[index&slabMask]
 		}
 	}
 	return a.getSlow(ref)
@@ -494,13 +517,13 @@ func (a *Arena[T]) Get(ref Ref) *T {
 func (a *Arena[T]) getSlow(ref Ref) *T {
 	ref = ref.Unmarked()
 	s := a.slotAt(ref.Index())
-	if s == nil {
+	if s.slotMeta == nil {
 		return nil
 	}
 	if a.checked && s.hdr.Gen() != ref.Gen() {
 		a.fault(fmt.Sprintf("use-after-free dereference: %v, slot generation %d", ref, s.hdr.Gen()))
 	}
-	return &s.val
+	return s.val
 }
 
 // Header returns the SMR metadata block for ref. It performs no generation
@@ -516,7 +539,7 @@ func (a *Arena[T]) Header(ref Ref) *Header {
 	if ref>>classShift == 0 {
 		index := uint64(ref >> idxShift)
 		if sl := a.slabs[index>>slabShift].Load(); sl != nil {
-			return &sl[index&slabMask].hdr
+			return &sl.meta[index&slabMask].hdr
 		}
 	}
 	return a.headerSlow(ref)
@@ -548,14 +571,14 @@ func (a *Arena[T]) CheckAccess(ref Ref) bool {
 		return a.bytes.checkAccess(ref)
 	}
 	s := a.slotAt(ref.Index())
-	if s == nil {
+	if s.slotMeta == nil {
 		return false
 	}
 	if s.hdr.Gen() != ref.Gen() {
 		a.fault(fmt.Sprintf("access to reclaimed slot: %v, slot generation %d", ref, s.hdr.Gen()))
 		return false
 	}
-	if a.poisonCheck != nil && a.poisonCheck(&s.val) {
+	if a.poisonCheck != nil && a.poisonCheck(s.val) {
 		a.fault(fmt.Sprintf("poisoned payload behind live ref %v", ref))
 		return false
 	}

@@ -6,7 +6,9 @@ import "sync/atomic"
 // by the reclamation schemes. It is the Go analogue of the fields the paper
 // requires the tracked type T to carry ("the type T must have the members
 // newEra and delEra, both of type uint64", §3) plus the bookkeeping the
-// other baseline schemes need.
+// other baseline schemes need. It lives in its slab's metadata array,
+// beside the value rather than inside T: no traversal reads it, so the
+// values a walk touches stay packed together.
 //
 // BirthEra and RetireEra are deliberately NOT atomic, exactly as in the
 // paper: "Neither of these variables needs to be atomic because they are

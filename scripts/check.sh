@@ -185,7 +185,9 @@ inline_gate ./internal/list 'smr\.\(\*Atomic\[.*\]\)\.Load' 'smr\.\(\*Domain\[.*
 # A generic instantiation compiled outside mem does not inline mem.Ref's
 # methods, so neither the list's traversal step nor the Arena.Get it calls
 # may call one, and neither may the arena's alloc, free and header methods
-# a hash-map update and a scan run. hop_gate takes an awk regexp for a
+# a hash-map update and a scan run. None of them may allocate either: the
+# arena's slot view (value and metadata pointers) must stay out of the
+# heap, or every update pays for it. hop_gate takes an awk regexp for a
 # function's header line in the assembly listing of package $pkg.
 hop_gate() {
   local body
@@ -194,6 +196,9 @@ hop_gate() {
   if grep -q 'CALL.*mem\.Ref\.' <<<"$body"; then
     echo "$pkg: $1 calls a mem.Ref method out of line"; exit 1
   fi
+  if grep -q 'CALL.*runtime\.newobject' <<<"$body"; then
+    echo "$pkg: $1 allocates (runtime.newobject)"; exit 1
+  fi
 }
 pkg=./internal/list
 asm=$(go build -gcflags=-S "$pkg" 2>&1)
@@ -201,7 +206,7 @@ hop_gate '^repro/internal/list\.\(\*Ops\)\.find STEXT'
 hop_gate '^repro/internal/mem\.\(\*Arena\[.*\]\)\.Get STEXT'
 pkg=./internal/hashmap
 asm=$(go build -gcflags=-S "$pkg" 2>&1)
-for fn in Header AllocAt FreeAt FreeBatchAt releaseSlot spill popGlobal; do
+for fn in Get Header AllocAt FreeAt FreeBatchAt releaseSlot slotAt spill popGlobal; do
   hop_gate "^repro/internal/mem\\.\\(\\*Arena\\[.*\\]\\)\\.$fn STEXT"
 done
 # The write side's logical-delete CAS builds its expected word with
